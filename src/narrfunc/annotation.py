@@ -90,7 +90,7 @@ def parse_inline(text, strict=False):
             offset = sum(len(part) for part in clean)
             annotations.append(Annotation(offset, token))
             pos = m.end()
-        elif strict and len(token) <= 2:
+        elif strict:
             offset = sum(len(part) for part in clean) + (m.start() - pos)
             raise ParenthesizedUnknownToken(offset, token)
     clean.append(text[pos:])
@@ -129,6 +129,25 @@ def parse_sequence_string(s, strict=False):
             raise UnknownSymbol(token, position=i)
         symbols.append(token)
     return FunctionSequence(symbols)
+
+
+def extract_symbols(text):
+    """Function symbols in free-form model text.
+
+    Inline markers win; with none present, the last nonempty line is
+    read as a hyphen sequence.  An unparsable line yields ``[]``.
+    """
+    text = text or ""
+    symbols = [a.symbol for a in parse_inline(text)[1]]
+    if symbols:
+        return symbols
+    for line in reversed(text.splitlines()):
+        if line.strip():
+            try:
+                return list(parse_sequence_string(line))
+            except UnknownSymbol:
+                return []
+    return []
 
 
 def load_sequences(lines, source_id=None):
@@ -209,23 +228,6 @@ def load_corpus(lines, strict=False):
         seen.add(segment.id)
         segments.append(segment)
     return segments
-
-
-def segment_to_record(segment, inline=True):
-    """Serialize a segment to a corpus record (dict, JSON-ready)."""
-    record = {"id": segment.id, "genre": segment.genre}
-    if inline:
-        record["text"] = emit_inline(segment)
-    else:
-        record["clean_text"] = segment.clean_text
-        record["annotations"] = [
-            {"offset": a.offset, "symbol": a.symbol} for a in segment.annotations
-        ]
-    if segment.rationale is not None:
-        record["rationale"] = segment.rationale
-    if segment.annotator is not None:
-        record["annotator"] = segment.annotator
-    return record
 
 
 def validate_coverage(corpus, min_segments=4):

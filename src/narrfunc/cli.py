@@ -323,9 +323,8 @@ def build_parser():
                         version=f"narrfunc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_output(p):
-        p.add_argument("--output-format", choices=["text", "json", "csv"],
-                       default="text")
+    def common_output(p, choices=("text", "json")):
+        p.add_argument("--output-format", choices=choices, default="text")
 
     p = sub.add_parser("registry", help="export the function registries")
     p.add_argument("--legacy", action="store_true",
@@ -349,7 +348,7 @@ def build_parser():
     p.add_argument("--per-group", type=int, default=4, dest="per_group")
     p.add_argument("--chars", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    common_output(p)
+    common_output(p, ("text", "json", "csv"))
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("match", help="match sequences against paradigms")

@@ -8,8 +8,10 @@ Three backend kinds share one request shape (a chat-style JSON payload):
   canonicalized request body, for reproducible runs without network;
 * ``http`` POSTs the payload to a real endpoint.
 
-Per-request faults never abort a run: a failed call scores as an
-all-absent prediction and lands in the error ledger.
+Per-request faults never abort a run: each failed call lands in the
+error ledger.  In recognition it scores as an all-absent prediction; in
+continuation the episode is ``None`` and, when the model annotates it,
+its sequence is empty.
 """
 
 import hashlib
@@ -19,8 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import annotation, metrics, taxonomy
-from .annotation import parse_inline, emit_inline, sequence_of
-from .errors import BackendUnreachable, MissingSidecar, ReplayMiss, UnknownSymbol
+from .annotation import emit_inline, sequence_of
+from .errors import BackendUnreachable, MissingSidecar, ReplayMiss
 
 ENV_API_KEY = "NARR_API_KEY"
 ENV_API_URL = "NARR_API_URL"
@@ -77,10 +79,6 @@ class RecognitionResult:
     report: object  # metrics.EvaluationReport
     errors: list  # one dict per failed request
     requests: int
-
-    @property
-    def successes(self):
-        return self.requests - len(self.errors)
 
 
 def functions_block():
@@ -166,14 +164,16 @@ class HttpBackend:
     dotted path expression (keys and list indices)."""
 
     def __init__(self, cfg):
-        endpoint = os.environ.get(ENV_API_URL) or cfg.endpoint
+        endpoint = cfg.endpoint or os.environ.get(ENV_API_URL)
         if not endpoint or not cfg.model_name:
             raise BackendUnreachable("http backend needs endpoint and model_name")
         self.endpoint = endpoint
         self.cfg = cfg
 
     def complete(self, payload):
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(ENV_API_KEY)
@@ -181,13 +181,17 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {api_key}"
         body = {k: v for k, v in payload.items() if k != "tag"}
         body.update(body.pop("decoding", {}))
+        request = urllib.request.Request(
+            self.endpoint, data=json.dumps(body).encode("utf-8"),
+            headers=headers, method="POST")
         try:
-            resp = requests.post(self.endpoint, json=body, headers=headers,
-                                 timeout=self.cfg.timeout)
-            resp.raise_for_status()
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=self.cfg.timeout) as resp:
+                raw = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # an error status still holds its response open
             raise BackendUnreachable(str(exc)) from exc
-        return extract_path(resp.json(), self.cfg.response_path)
+        return extract_path(json.loads(raw), self.cfg.response_path)
 
 
 def extract_path(obj, path):
@@ -214,25 +218,20 @@ def make_backend(cfg, segments=None):
 def parse_model_output(text, expected_instances):
     """Turn raw model text into an aligned :class:`metrics.Prediction`.
 
-    Inline markers win; with none present, the last nonempty line is
-    tried as a hyphen sequence.  Extracted symbols align to gold
+    Symbols from :func:`annotation.extract_symbols` align to gold
     instances by order; missing positions become absent, surplus ones
     count as extras.
     """
-    _, annotations = parse_inline(text or "")
-    symbols = [a.symbol for a in annotations]
-    if not symbols:
-        for line in reversed((text or "").splitlines()):
-            if line.strip():
-                try:
-                    symbols = list(annotation.parse_sequence_string(line))
-                except UnknownSymbol:
-                    symbols = []
-                break
+    symbols = annotation.extract_symbols(text)
     per_instance = symbols[:expected_instances]
     per_instance += [metrics.ABSENT] * (expected_instances - len(per_instance))
     extras = max(0, len(symbols) - expected_instances)
     return metrics.Prediction(per_instance, extras)
+
+
+def _error_entry(exc, **where):
+    """One error-ledger record: where the request failed, then why."""
+    return {**where, "error": type(exc).__name__, "detail": str(exc)}
 
 
 def _collect(backend, payloads, max_parallel):
@@ -276,13 +275,8 @@ def run_recognition(cfg, run):
     for (r, p, seg, payload), (text, exc) in zip(tasks, results):
         n = len(seg.annotations)
         if exc is not None:
-            errors.append({
-                "round": r,
-                "prediction": p,
-                "segment": seg.id,
-                "error": type(exc).__name__,
-                "detail": str(exc),
-            })
+            errors.append(_error_entry(exc, round=r, prediction=p,
+                                       segment=seg.id))
             pred = metrics.Prediction([metrics.ABSENT] * n, 0)
         else:
             pred = parse_model_output(text, n)
@@ -312,7 +306,10 @@ def _load_sidecar(path):
 def run_continuation(cfg, run):
     """Generate ``n_episodes`` continuations of the preface and recover a
     function sequence for each, either from a second annotation pass
-    over the episode (mode ``model``) or from sidecar files (``file``)."""
+    over the episode (mode ``model``) or from sidecar files (``file``).
+
+    Returns ``(episodes, sequences, errors)``; a failed request leaves its
+    episode ``None`` and adds one ledger entry instead of raising."""
     backend = make_backend(cfg, [run.preface])
     if run.annotation_mode == "file":
         paths = run.sidecar_paths or []
@@ -327,27 +324,13 @@ def run_continuation(cfg, run):
         for i in range(run.n_episodes)
     ]
     results = _collect(backend, payloads, cfg.max_parallel)
-    episodes = []
-    for i, (text, exc) in enumerate(results):
-        if exc is not None:
-            raise exc
-        episodes.append(text)
+    episodes = [text for text, _ in results]
+    errors = [_error_entry(exc, episode=i)
+              for i, (_, exc) in enumerate(results) if exc is not None]
 
     if run.annotation_mode == "file":
         sequences = [_load_sidecar(p) for p in run.sidecar_paths]
     else:
-        sequences = []
-        for episode in episodes:
-            _, anns = parse_inline(episode)
-            symbols = [a.symbol for a in anns]
-            if not symbols:
-                for line in reversed(episode.splitlines()):
-                    if line.strip():
-                        try:
-                            symbols = list(
-                                annotation.parse_sequence_string(line))
-                        except UnknownSymbol:
-                            symbols = []
-                        break
-            sequences.append(annotation.FunctionSequence(symbols))
-    return episodes, sequences
+        sequences = [annotation.FunctionSequence(annotation.extract_symbols(e))
+                     for e in episodes]
+    return episodes, sequences, errors

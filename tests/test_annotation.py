@@ -9,6 +9,7 @@ from narrfunc.annotation import (
     AnnotatedSegment,
     Annotation,
     emit_inline,
+    extract_symbols,
     load_corpus,
     parse_inline,
     parse_sequence_string,
@@ -125,6 +126,14 @@ class TestSequenceOf:
     def test_empty(self):
         seg = AnnotatedSegment("x", "Fantasy", "text", [])
         assert sequence_of(seg).symbols == []
+
+
+class TestExtractSymbols:
+    def test_inline_markers_win(self):
+        assert extract_symbols("found it (K)\nA-Q-S") == ["K"]
+
+    def test_only_the_last_nonempty_line_is_read(self):
+        assert extract_symbols("A-Q-S\nno structure here\n\n") == []
 
 
 class TestParseSequenceString:

@@ -120,6 +120,13 @@ class TestMatch:
             "--pattern", "(A)->")
         assert code == cli.EXIT_INPUT
 
+    def test_csv_output_rejected(self, capsys):
+        # Only ``stats`` writes CSV; elsewhere argparse refuses the choice.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["match", str(DATA / "plots_battle.seq"),
+                      "--output-format", "csv"])
+        assert exc.value.code == 2
+
 
 class TestMine:
     def test_battle_column(self, capsys):

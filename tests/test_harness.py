@@ -1,9 +1,12 @@
+import http.server
 import json
+import threading
+import time
 
 import pytest
 
 from narrfunc import annotation, harness, metrics
-from narrfunc.annotation import AnnotatedSegment, parse_inline
+from narrfunc.annotation import AnnotatedSegment, parse_inline, sequence_of
 from narrfunc.errors import BackendUnreachable, MissingSidecar, ReplayMiss
 from narrfunc.harness import (
     BackendConfig,
@@ -145,8 +148,8 @@ class TestContinuation:
     def test_mock_is_deterministic(self, segments):
         cfg = BackendConfig(kind="mock")
         run = ContinuationRun(preface=segments[0], n_episodes=2)
-        episodes_a, seqs_a = run_continuation(cfg, run)
-        episodes_b, seqs_b = run_continuation(cfg, run)
+        episodes_a, seqs_a, _ = run_continuation(cfg, run)
+        episodes_b, seqs_b, _ = run_continuation(cfg, run)
         assert episodes_a == episodes_b
         assert len(episodes_a) == 2
         assert [s.symbols for s in seqs_a] == [s.symbols for s in seqs_b]
@@ -175,9 +178,46 @@ class TestContinuation:
                 }) + "\n")
         run = ContinuationRun(preface=segments[0], n_episodes=5,
                               annotation_mode="file", sidecar_paths=sidecars)
-        episodes, seqs = run_continuation(cfg, run)
+        episodes, seqs, _ = run_continuation(cfg, run)
         assert len(episodes) == 5
         assert ["-".join(s.symbols) for s in seqs] == doubao_lines
+
+    def _replay_cfg(self, tmp_path, segments, replies):
+        """Replay fixture answering episode ``i`` with ``replies[i]``; a
+        ``None`` reply leaves that episode unrecorded."""
+        path = tmp_path / "episodes.jsonl"
+        cfg = BackendConfig(kind="replay", replay_path=str(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            for i, reply in enumerate(replies):
+                if reply is None:
+                    continue
+                payload = build_payload(
+                    cfg, harness.DEFAULT_CONTINUATION_TEMPLATE,
+                    segments[0].clean_text, f"continuation:seed=0:episode={i}")
+                fh.write(json.dumps({
+                    "request_digest": request_digest(payload),
+                    "response_text": reply,
+                }) + "\n")
+        return cfg
+
+    def test_hyphen_line_reply(self, tmp_path, segments):
+        cfg = self._replay_cfg(
+            tmp_path, segments, ["The hero returns home.\n\nA-Lo-E-Q-P-S\n"])
+        run = ContinuationRun(preface=segments[0], n_episodes=1)
+        _, seqs, errors = run_continuation(cfg, run)
+        assert errors == []
+        assert seqs[0].symbols == ["A", "Lo", "E", "Q", "P", "S"]
+
+    def test_failed_episode_recorded_not_raised(self, tmp_path, segments):
+        cfg = self._replay_cfg(
+            tmp_path, segments, ["One. (A)", None, "Three. (S)"])
+        run = ContinuationRun(preface=segments[0], n_episodes=3)
+        episodes, seqs, errors = run_continuation(cfg, run)
+        assert episodes == ["One. (A)", None, "Three. (S)"]
+        assert [s.symbols for s in seqs] == [["A"], [], ["S"]]
+        assert len(errors) == 1
+        assert list(errors[0]) == ["episode", "error", "detail"]
+        assert (errors[0]["episode"], errors[0]["error"]) == (1, "ReplayMiss")
 
     def test_missing_sidecar(self, segments):
         cfg = BackendConfig(kind="mock")
@@ -197,3 +237,124 @@ class TestHttpConfig:
         monkeypatch.setenv(harness.ENV_API_URL, "http://example.test/v1")
         backend = make_backend(BackendConfig(kind="http", model_name="m"))
         assert backend.endpoint == "http://example.test/v1"
+
+    def test_explicit_endpoint_beats_env(self, monkeypatch):
+        monkeypatch.setenv(harness.ENV_API_URL, "http://env.test/v1")
+        backend = make_backend(BackendConfig(
+            kind="http", endpoint="http://flag.test/v1", model_name="m"))
+        assert backend.endpoint == "http://flag.test/v1"
+
+
+class _ChatServer(http.server.ThreadingHTTPServer):
+    """Loopback chat endpoint.  ``/status500`` fails, ``/slow`` stalls for
+    ``slow_s``, ``/malformed`` returns broken JSON; any other path answers
+    from ``answers`` (user text -> (delay, reply)), echoing the user text
+    by default."""
+
+    slow_s = 1.0
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out closed the socket first
+
+
+class _ChatHandler(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.headers, raw))
+        if self.path == "/status500":
+            self.send_error(500)
+            return
+        if self.path == "/slow":
+            time.sleep(self.server.slow_s)
+        if self.path == "/malformed":
+            reply = b'{"choices": [{"message": '
+        else:
+            user = json.loads(raw)["messages"][1]["content"]
+            delay, text = self.server.answers.get(user, (0, user))
+            time.sleep(delay)
+            self.server.done.append(user)
+            reply = json.dumps({"choices": [{"message": {
+                "role": "assistant", "content": text}}]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    monkeypatch.delenv(harness.ENV_API_URL, raising=False)
+    monkeypatch.delenv(harness.ENV_API_KEY, raising=False)
+    server = _ChatServer(("127.0.0.1", 0), _ChatHandler)
+    server.seen, server.done, server.answers = [], [], {}
+    server.url = f"http://127.0.0.1:{server.server_port}"
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+class TestHttpBackend:
+    def _recognize(self, server, path, segments, **cfg_kw):
+        cfg = BackendConfig(kind="http", endpoint=server.url + path,
+                            model_name="m", **cfg_kw)
+        run = RecognitionRun(segments=segments, rounds=1, preds_per_round=2)
+        return run_recognition(cfg, run)
+
+    def test_success_and_wire_body(self, chat_server, monkeypatch):
+        monkeypatch.setenv(harness.ENV_API_KEY, "sk-test")
+        cfg = BackendConfig(kind="http", endpoint=chat_server.url + "/chat",
+                            model_name="m", decoding={"temperature": 0.7})
+        payload = build_payload(cfg, "system", "他逃了出去。", "tag-1")
+        chat_server.answers["他逃了出去。"] = (0, "A-K-S")
+        assert make_backend(cfg).complete(payload) == "A-K-S"
+        headers, raw = chat_server.seen[0]
+        assert raw == json.dumps({
+            "model": "m", "messages": payload["messages"],
+            "temperature": 0.7}).encode("utf-8")
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer sk-test"
+
+    def test_response_path(self, chat_server):
+        cfg = BackendConfig(kind="http", endpoint=chat_server.url + "/chat",
+                            model_name="m",
+                            response_path="choices.0.message.role")
+        payload = build_payload(cfg, "system", "text", "tag")
+        assert make_backend(cfg).complete(payload) == "assistant"
+
+    def test_status_500_lands_in_ledger(self, chat_server, segments):
+        result = self._recognize(chat_server, "/status500", segments)
+        assert len(result.errors) == result.requests == 4
+        assert all(e["error"] == "BackendUnreachable" for e in result.errors)
+        assert list(result.errors[0]) == [
+            "round", "prediction", "segment", "error", "detail"]
+
+    def test_timeout_lands_in_ledger(self, chat_server, segments):
+        result = self._recognize(chat_server, "/slow", segments[:1],
+                                 timeout=0.2)
+        assert len(result.errors) == result.requests == 2
+        assert all(e["error"] == "BackendUnreachable" for e in result.errors)
+
+    def test_malformed_json_lands_in_ledger(self, chat_server, segments):
+        result = self._recognize(chat_server, "/malformed", segments)
+        assert len(result.errors) == result.requests == 4
+        assert all(e["error"] == "JSONDecodeError" for e in result.errors)
+
+    def test_parallel_results_keep_task_order(self, chat_server, segments):
+        # The first segment answers slowly, so replies complete out of
+        # request order; scoring is only perfect if results are realigned.
+        for seg, delay in zip(segments, (0.3, 0.0)):
+            chat_server.answers[seg.clean_text] = (
+                delay, "-".join(sequence_of(seg).symbols))
+        result = self._recognize(chat_server, "/chat", segments,
+                                 max_parallel=2)
+        assert chat_server.done[0] == segments[1].clean_text
+        assert result.errors == []
+        for summary in result.report.sum.values():
+            assert summary.mean == 1.0
