@@ -83,16 +83,16 @@ def parse_inline(text, strict=False):
     clean = []
     annotations = []
     pos = 0
+    offset = 0  # length of the clean text so far
     for m in _MARKER_RE.finditer(text):
         token = m.group(1)
         if taxonomy.is_symbol(token):
             clean.append(text[pos:m.start()])
-            offset = sum(len(part) for part in clean)
+            offset += m.start() - pos
             annotations.append(Annotation(offset, token))
             pos = m.end()
         elif strict:
-            offset = sum(len(part) for part in clean) + (m.start() - pos)
-            raise ParenthesizedUnknownToken(offset, token)
+            raise ParenthesizedUnknownToken(offset + (m.start() - pos), token)
     clean.append(text[pos:])
     return "".join(clean), annotations
 

@@ -115,6 +115,54 @@ def test_sequence_length_equals_annotation_count(seg):
     assert len(sequence_of(seg)) == len(seg.annotations)
 
 
+# Asides are parentheticals that stay in the clean text; strict mode
+# rejects the short letter tokens among them.
+_ASIDES = ("(ok)", "（xq）", "(注)", "(abc)")
+_STRICT_REJECTED = ("(ok)", "（xq）")
+
+
+@st.composite
+def marked_texts(draw):
+    """Marked text plus the clean text, annotations, ASCII re-emission and
+    strict-mode error offset expected from it, built piece by piece."""
+    plain = st.text(alphabet=st.characters(blacklist_characters="()（）"),
+                    max_size=8)
+    marker = st.tuples(st.sampled_from(taxonomy.SYMBOLS),
+                       st.sampled_from("(（"), st.sampled_from(")）"))
+    pieces = draw(st.lists(st.one_of(
+        plain.map(lambda s: ("plain", s)),
+        marker.map(lambda m: ("marker",) + m),
+        st.sampled_from(_ASIDES).map(lambda s: ("aside", s))), max_size=30))
+    text, clean, emitted, anns, strict_offset = "", "", "", [], None
+    for kind, *rest in pieces:
+        if kind == "marker":
+            symbol, open_, close = rest
+            text += f"{open_}{symbol}{close}"
+            emitted += f"({symbol})"
+            anns.append(Annotation(len(clean), symbol))
+            continue
+        if kind == "aside" and rest[0] in _STRICT_REJECTED \
+                and strict_offset is None:
+            strict_offset = len(clean)
+        text += rest[0]
+        clean += rest[0]
+        emitted += rest[0]
+    return text, clean, anns, emitted, strict_offset
+
+
+@given(marked_texts())
+def test_parse_inline_offsets_property(case):
+    text, clean, anns, emitted, strict_offset = case
+    assert parse_inline(text) == (clean, anns)
+    if strict_offset is None:
+        assert parse_inline(text, strict=True) == (clean, anns)
+    else:
+        with pytest.raises(ParenthesizedUnknownToken) as exc_info:
+            parse_inline(text, strict=True)
+        assert exc_info.value.offset == strict_offset
+    assert emit_inline(AnnotatedSegment("h", "Fantasy", clean, anns)) == emitted
+
+
 class TestSequenceOf:
     def test_passages(self, passages):
         for text, expected in zip(passages, (

@@ -95,6 +95,14 @@ class TestStats:
         assert lines[0] == "symbol,count,class"
         assert len(lines) == 35
 
+    def test_windows_zero_groups_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "stats", str(DATA / "recognition_corpus.jsonl"),
+            "--windows", "--groups", "0")
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestMatch:
     def test_builtin_supports(self, capsys):

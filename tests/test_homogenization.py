@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from narrfunc import taxonomy
-from narrfunc.annotation import AnnotatedSegment, Annotation
+from narrfunc.annotation import AnnotatedSegment, Annotation, parse_inline
 from narrfunc.homogenization import (
     EpisodeSet,
     analyze_episodes,
@@ -31,6 +31,86 @@ def oracle_edit_distance(a, b):
             d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1,
                           d[i - 1][j - 1] + (a[i - 1] != b[j - 1]))
     return d[len(a)][len(b)]
+
+
+def oracle_lcs_length(a, b):
+    """Textbook full-matrix LCS DP, kept independent of the library version."""
+    d = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            if a[i - 1] == b[j - 1]:
+                d[i][j] = d[i - 1][j - 1] + 1
+            else:
+                d[i][j] = max(d[i - 1][j], d[i][j - 1])
+    return d[len(a)][len(b)]
+
+
+def oracle_similarity(a, b, method):
+    longest = max(len(a), len(b))
+    if method == "edit":
+        return 1 - oracle_edit_distance(a, b) / longest
+    return oracle_lcs_length(a, b) / longest
+
+
+# Two- and three-symbol alphabets make matches dense; the full registry
+# makes them sparse.
+ALPHABETS = st.sampled_from(
+    [taxonomy.SYMBOLS[:2], taxonomy.SYMBOLS[:3], taxonomy.SYMBOLS])
+
+
+def symbol_lists(alphabet, min_size=0, max_size=200):
+    return st.lists(st.sampled_from(alphabet), min_size=min_size,
+                    max_size=max_size)
+
+
+@st.composite
+def sequence_pairs(draw, min_size=0):
+    alphabet = draw(ALPHABETS)
+    return (draw(symbol_lists(alphabet, min_size)),
+            draw(symbol_lists(alphabet, min_size)))
+
+
+@st.composite
+def episode_lists(draw):
+    alphabet = draw(ALPHABETS)
+    return draw(st.lists(symbol_lists(alphabet, 1, 60), min_size=2,
+                         max_size=6))
+
+
+class TestKernelsAgainstOracles:
+    @given(sequence_pairs())
+    def test_edit_distance(self, pair):
+        a, b = pair
+        assert edit_distance(a, b) == oracle_edit_distance(a, b)
+
+    @given(sequence_pairs())
+    def test_lcs_length(self, pair):
+        a, b = pair
+        assert lcs_length(a, b) == oracle_lcs_length(a, b)
+
+    @given(sequence_pairs(min_size=1), st.sampled_from(["edit", "lcs"]))
+    def test_seq_similarity(self, pair, method):
+        a, b = pair
+        assert seq_similarity(a, b, method=method) == \
+            oracle_similarity(a, b, method)
+
+    @given(episode_lists(), st.sampled_from(["edit", "lcs"]))
+    def test_analyze_episodes_matrix(self, episodes, method):
+        report = analyze_episodes(EpisodeSet(episodes), method=method)
+        n = len(episodes)
+        expected = [[1.0] * n for _ in range(n)]
+        upper = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                sim = oracle_similarity(episodes[i], episodes[j], method)
+                expected[i][j] = expected[j][i] = sim
+                upper.append(sim)
+        assert report.pairwise == expected
+        assert report.mean_similarity == sum(upper) / len(upper)
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError):
+            analyze_episodes(EpisodeSet([["A"], ["K"]]), method="hamming")
 
 
 class TestSeqSimilarity:
@@ -205,6 +285,31 @@ class TestSampleWindows:
         for w in sample_windows(self._corpus(), seed=9):
             for a in w.annotations:
                 assert 0 <= a.offset <= len(w.clean_text)
+
+    def test_whole_novel_keeps_trailing_marker(self):
+        clean, anns = parse_inline("甲乙丙(A)丁戊(K)")
+        novel = AnnotatedSegment("n", "Fantasy", clean, anns)
+        [window] = sample_windows({"n": novel}, seed=0, groups=1,
+                                  novels_per_group=1)
+        assert window.clean_text == clean
+        assert window.annotations == anns
+
+    def test_window_reaching_novel_end_keeps_trailing_marker(self):
+        clean, anns = parse_inline("甲乙丙(A)丁戊(K)")
+        novel = AnnotatedSegment("n", "Fantasy", clean, anns)
+        windows = {w.id: w for seed in range(40)
+                   for w in sample_windows({"n": novel}, seed=seed, groups=1,
+                                           novels_per_group=1, chars=2)}
+        assert windows["n[3:5]"].annotations == [Annotation(0, "A"),
+                                                  Annotation(2, "K")]
+        # A window ending mid-novel leaves out a marker at its end.
+        assert windows["n[1:3]"].annotations == []
+
+    @pytest.mark.parametrize("kwargs", [
+        {"groups": 0}, {"novels_per_group": 0}, {"chars": 0}])
+    def test_nonpositive_sizes_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            sample_windows(self._corpus(20), seed=0, **kwargs)
 
     def test_insufficient_novels(self):
         with pytest.raises(InsufficientNovels):
