@@ -34,6 +34,7 @@ _GENRE_ALIASES = {
 }
 
 _MARKER_RE = re.compile(r"[（(]([A-Za-z]{1,2})[)）]")
+_SYMBOL_SET = frozenset(taxonomy.SYMBOLS)
 
 
 @dataclass(frozen=True, order=True)
@@ -122,13 +123,15 @@ def parse_sequence_string(s, strict=False):
         if strict:
             raise EmptyInput("blank sequence string")
         return FunctionSequence([])
-    symbols = []
-    for i, raw in enumerate(s.split("-")):
-        token = raw.strip()
-        if not taxonomy.is_symbol(token):
-            raise UnknownSymbol(token, position=i)
-        symbols.append(token)
-    return FunctionSequence(symbols)
+    tokens = s.split("-")
+    if not _SYMBOL_SET.issuperset(tokens):
+        # Slow path: strip padding, then report the first unknown token.
+        tokens = [raw.strip() for raw in tokens]
+        for i, token in enumerate(tokens):
+            if not taxonomy.is_symbol(token):
+                raise UnknownSymbol(token, position=i)
+    # Sliced: a list from str.split keeps spare slots for its whole life.
+    return FunctionSequence(tokens[:])
 
 
 def extract_symbols(text):
@@ -218,8 +221,6 @@ def load_corpus(lines, strict=False):
             raise MalformedRecord(line_no, "record is not an object")
         try:
             segment = segment_from_record(record, strict=strict)
-        except (InvalidGenre, UnknownSymbol, ParenthesizedUnknownToken):
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRecord(line_no, str(exc)) from exc
         if segment.id in seen:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import __version__, annotation, harness, homogenization, metrics, paradigm, taxonomy
 from .errors import (
     BackendUnreachable,
+    EmptyCorpus,
     MiningFailed,
     NarrfuncError,
 )
@@ -192,26 +193,30 @@ def _load_seq_file(path):
         return annotation.load_sequences(fh, source_id=path)
 
 
+def _support_fields(frac):
+    return {"support": f"{frac.numerator}/{frac.denominator}",
+            "support_decimal": round(float(frac), 4)}
+
+
 def cmd_match(args):
     seqs = _load_seq_file(args.sequences)
     if args.pattern:
         patterns = [paradigm.parse_pattern(args.pattern, plot_label="pattern")]
     else:
         patterns = paradigm.builtin_paradigms()
+    if not seqs:
+        raise EmptyCorpus("support over an empty corpus")
+    # One verdict pass: each pattern's support is counted from the labels.
+    hits = dict.fromkeys((p.plot_label for p in patterns), 0)
     verdicts = []
-    supports = {}
-    for p in patterns:
-        frac = paradigm.support(seqs, p)
-        supports[p.plot_label] = {
-            "pattern": paradigm.emit_pattern(p),
-            "support": f"{frac.numerator}/{frac.denominator}",
-            "support_decimal": round(float(frac), 4),
-        }
     for s in seqs:
-        verdicts.append({
-            "sequence": "-".join(s.symbols),
-            "labels": paradigm.classify(s, patterns),
-        })
+        labels = paradigm.classify(s, patterns)
+        for label in labels:
+            hits[label] += 1
+        verdicts.append({"sequence": "-".join(s.symbols), "labels": labels})
+    supports = {p.plot_label: {"pattern": paradigm.emit_pattern(p),
+                               **_support_fields(Fraction(hits[p.plot_label], len(seqs)))}
+                for p in patterns}
     report = {
         "header": _header("match", {"pattern": args.pattern or "builtins"},
                           [args.sequences]),
@@ -226,13 +231,11 @@ def cmd_mine(args):
     seqs = _load_seq_file(args.sequences)
     min_support = Fraction(args.support).limit_denominator(10**6)
     mined = paradigm.mine(seqs, min_support=min_support, max_alt=args.max_alt)
-    frac = paradigm.support(seqs, mined)
     report = {
         "header": _header("mine", {"min_support": str(min_support),
                                    "max_alt": args.max_alt}, [args.sequences]),
         "pattern": paradigm.emit_pattern(mined),
-        "support": f"{frac.numerator}/{frac.denominator}",
-        "support_decimal": round(float(frac), 4),
+        **_support_fields(paradigm.support(seqs, mined)),
     }
     _emit(report, args.output_format)
     return EXIT_OK

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import annotation, metrics, taxonomy
 from .annotation import emit_inline, sequence_of
-from .errors import BackendUnreachable, MissingSidecar, ReplayMiss
+from .errors import BackendUnreachable, MalformedRecord, MissingSidecar, ReplayMiss
 
 ENV_API_KEY = "NARR_API_KEY"
 ENV_API_URL = "NARR_API_URL"
@@ -142,12 +142,17 @@ class ReplayBackend:
         self._responses = {}
         try:
             with open(path, encoding="utf-8") as fh:
-                for line in fh:
+                for line_no, line in enumerate(fh, start=1):
                     if not line.strip():
                         continue
-                    record = json.loads(line)
-                    self._responses[record["request_digest"]] = \
-                        record["response_text"]
+                    try:
+                        record = json.loads(line)
+                        self._responses[record["request_digest"]] = \
+                            record["response_text"]
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise MalformedRecord(
+                            line_no, "not a JSON object with request_digest and "
+                            f"response_text: {exc!r}") from exc
         except OSError as exc:
             raise BackendUnreachable(f"cannot read replay fixtures: {exc}") from exc
 

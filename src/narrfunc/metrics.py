@@ -7,7 +7,7 @@ assigned a common/rare split (they match no gold symbol), so they affect
 the overall ("sum") accuracy and precision only.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import EmptyInput, LengthMismatch
@@ -44,12 +44,7 @@ class SplitMetrics:
     f1: float
 
     def as_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

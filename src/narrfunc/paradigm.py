@@ -5,11 +5,14 @@ last elements anchor the sequence's first and last symbols, interior
 elements must occur in order strictly between them.  ``->`` marks linear
 development and ``~>`` nonlinear development; the distinction matters
 for mining and reporting, not for matching, because nonlinear plots
-share only their initial and terminal markers.
+share only their initial and terminal markers.  Each pattern is compiled
+to one accepted-symbol set per element; every matcher runs one greedy
+anchored kernel over them, failing fast on the anchors, and ``narrfunc
+match`` classifies each sequence once, counting supports from the verdicts.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import median
 
@@ -20,7 +23,6 @@ from .errors import (
     MiningFailed,
     PatternSyntaxError,
     TooFewElements,
-    UnknownSymbol,
 )
 
 LINEAR = "linear"
@@ -46,9 +48,7 @@ class AltSet:
 
 
 def element_accepts(element, symbol):
-    if isinstance(element, AltSet):
-        return symbol in element.options
-    return symbol == element
+    return symbol in (element.options if isinstance(element, AltSet) else (element,))
 
 
 @dataclass
@@ -56,12 +56,15 @@ class ParadigmPattern:
     elements: tuple  # symbols and AltSets, length >= 2
     connectors: tuple  # LINEAR/NONLINEAR, length len(elements) - 1
     plot_label: str = None
+    _accepts: tuple = field(init=False, repr=False, compare=False)  # symbol sets
 
     def __post_init__(self):
         if len(self.elements) < 2:
             raise TooFewElements("pattern needs at least 2 elements")
         if len(self.connectors) != len(self.elements) - 1:
             raise ValueError("connector count must be element count - 1")
+        self._accepts = tuple(frozenset(e.options if isinstance(e, AltSet) else (e,))
+                              for e in self.elements)
 
 
 @dataclass
@@ -145,42 +148,43 @@ def builtin_paradigms():
     return [parse_pattern(text, plot_label=label) for label, text in specs]
 
 
-def matches(seq, pattern):
-    """Anchored match: first/last symbols hit the anchors, interior
-    elements occur in order strictly between them (greedy leftmost)."""
-    symbols = list(seq)
+def _symbols(seq):
+    """*seq* as a list; a FunctionSequence's own list is read, not copied."""
+    return getattr(seq, "symbols", None) or list(seq)
+
+
+def _bind(symbols, accepts):
+    """Greedy anchored kernel: each element's bound index, or None.  A
+    length-1 sequence never matches: one position cannot bind both anchors."""
     if not symbols:
         raise EmptySequence("cannot match an empty sequence")
     last = len(symbols) - 1
-    if last == 0:
-        # A paradigm describes a progression; one position cannot bind
-        # both anchors.
-        return MatchResult(False)
-    first_el = pattern.elements[0]
-    last_el = pattern.elements[-1]
-    if not element_accepts(first_el, symbols[0]):
-        return MatchResult(False)
-    if not element_accepts(last_el, symbols[last]):
-        return MatchResult(False)
+    if last < 1 or symbols[0] not in accepts[0] or symbols[last] not in accepts[-1]:
+        return None
     bindings = [0]
-    pos = 0
-    for element in pattern.elements[1:-1]:
-        found = None
-        for i in range(pos + 1, last):
-            if element_accepts(element, symbols[i]):
-                found = i
-                break
-        if found is None:
-            return MatchResult(False)
-        bindings.append(found)
-        pos = found
+    i = 0
+    for accepted in accepts[1:-1]:
+        i += 1
+        while i < last and symbols[i] not in accepted:
+            i += 1
+        if i == last:
+            return None
+        bindings.append(i)
     bindings.append(last)
-    return MatchResult(True, bindings)
+    return bindings
+
+
+def matches(seq, pattern):
+    """Anchored match: first/last symbols hit the anchors, interior
+    elements occur in order strictly between them (greedy leftmost)."""
+    bindings = _bind(_symbols(seq), pattern._accepts)
+    return MatchResult(bindings is not None, bindings)
 
 
 def classify(seq, patterns):
     """Labels of every matching pattern, in input order."""
-    return [p.plot_label for p in patterns if matches(seq, p).matched]
+    symbols = _symbols(seq)
+    return [p.plot_label for p in patterns if _bind(symbols, p._accepts) is not None]
 
 
 def support(seqs, pattern):
@@ -188,7 +192,7 @@ def support(seqs, pattern):
     seqs = list(seqs)
     if not seqs:
         raise EmptyCorpus("support over an empty corpus")
-    hits = sum(1 for s in seqs if matches(s, pattern).matched)
+    hits = sum(_bind(_symbols(s), pattern._accepts) is not None for s in seqs)
     return Fraction(hits, len(seqs))
 
 
@@ -223,7 +227,7 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
     order is not stable enough), the interiors are dropped and the
     anchors-only nonlinear pattern is returned.
     """
-    seqs = [list(s) for s in seqs]
+    seqs = list(map(_symbols, seqs))
     if not seqs:
         raise EmptyCorpus("mining over an empty corpus")
     min_support = Fraction(min_support).limit_denominator(10**6)
@@ -238,10 +242,9 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
     start = _mine_anchor([s[0] for s in usable], n, min_support, max_alt)
     end = _mine_anchor([s[-1] for s in usable], n, min_support, max_alt)
 
-    conforming = [
-        s for s in usable
-        if element_accepts(start, s[0]) and element_accepts(end, s[-1])
-    ]
+    fallback = ParadigmPattern((start, end), (NONLINEAR,))
+    first, last = fallback._accepts
+    conforming = [s for s in usable if s[0] in first and s[-1] in last]
     positions = {}  # symbol -> list of relative positions, one per sequence
     for s in conforming:
         span = len(s) - 1
@@ -256,16 +259,11 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
     ]
     interior.sort(key=lambda symbol: (median(positions[symbol]), symbol))
 
-    def build(inner, connector):
-        elements = (start, *inner, end)
-        connectors = (connector,) * (len(elements) - 1)
-        return ParadigmPattern(elements, connectors)
-
     if interior:
-        candidate = build(tuple(interior), LINEAR)
+        candidate = ParadigmPattern((start, *interior, end),
+                                    (LINEAR,) * (len(interior) + 1))
         if support(seqs, candidate) >= min_support:
             return candidate
-    fallback = build((), NONLINEAR)
     if support(seqs, fallback) >= min_support:
         return fallback
     raise MiningFailed("anchors reach support individually but not jointly")

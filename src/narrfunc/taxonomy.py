@@ -180,10 +180,7 @@ def is_symbol(token):
 
 def lookup(symbol):
     """Return the :class:`FunctionDef` for a validated symbol."""
-    try:
-        return _BY_SYMBOL[symbol]
-    except KeyError:
-        raise UnknownSymbol(symbol) from None
+    return _BY_SYMBOL[parse_symbol(symbol)]
 
 
 def all_functions():

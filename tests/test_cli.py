@@ -1,11 +1,12 @@
 import json
 import shutil
+from fractions import Fraction
 
 import pytest
 
-from narrfunc import cli
+from narrfunc import cli, paradigm
 
-from conftest import DATA
+from conftest import DATA, load_seq_file
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +129,17 @@ class TestMatch:
             "--pattern", "(A)->")
         assert code == cli.EXIT_INPUT
 
+    def test_supports_agree_with_labels(self, capsys):
+        path = DATA / "plots_daily_life.seq"
+        code, out, _ = run_cli(capsys, "match", str(path), "--output-format", "json")
+        assert code == cli.EXIT_OK
+        report = json.loads(out)
+        seqs = load_seq_file(path.name)
+        for p in paradigm.builtin_paradigms():
+            hits = sum(p.plot_label in v["labels"] for v in report["matches"])
+            assert Fraction(report["support"][p.plot_label]["support"]) == \
+                Fraction(hits, len(seqs)) == paradigm.support(seqs, p)
+
     def test_csv_output_rejected(self, capsys):
         # Only ``stats`` writes CSV; elsewhere argparse refuses the choice.
         with pytest.raises(SystemExit) as exc:
@@ -153,6 +165,21 @@ class TestMine:
                                "--support", "1.0", "--max-alt", "1")
         assert code == cli.EXIT_ANALYTIC
         assert "mining failed" in err
+
+
+class TestEmptySequenceFile:
+    @pytest.mark.parametrize("content", ["", "# only a comment\n\n  # another\n"])
+    @pytest.mark.parametrize("command, message", [
+        ("match", "error: support over an empty corpus"),
+        ("mine", "error: mining over an empty corpus")])
+    def test_exit_2_without_traceback(self, tmp_path, capsys, content,
+                                      command, message):
+        p = tmp_path / "seqs.seq"
+        p.write_text(content, encoding="utf-8")
+        code, out, err = run_cli(capsys, command, str(p))
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err == message + "\n"
 
 
 class TestEval:
@@ -191,6 +218,20 @@ class TestEval:
             "--rounds", "1", "--preds", "1", "--fail-on-error")
         assert code == cli.EXIT_BACKEND
         assert "ReplayMiss" in err
+
+    @pytest.mark.parametrize("fixture", [
+        '{"response_text": "x"}', '{"request_digest": "d"}', '["d", "x"]',
+        '{"request_digest": ["d"], "response_text": "x"}', '{"request_digest": '])
+    def test_malformed_replay_fixture_exit_2(self, tmp_path, capsys, fixture):
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text('{"request_digest": "d0", "response_text": "A"}\n\n'
+                          + fixture + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "eval", "--corpus", str(DATA / "recognition_corpus.jsonl"),
+            "--backend", "replay", "--replay-path", str(replay))
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: malformed record on line 3: ")
 
     def test_config_file_endpoint(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("NARR_ENDPOINT", raising=False)

@@ -7,7 +7,12 @@ import pytest
 
 from narrfunc import annotation, harness, metrics
 from narrfunc.annotation import AnnotatedSegment, parse_inline, sequence_of
-from narrfunc.errors import BackendUnreachable, MissingSidecar, ReplayMiss
+from narrfunc.errors import (
+    BackendUnreachable,
+    MalformedRecord,
+    MissingSidecar,
+    ReplayMiss,
+)
 from narrfunc.harness import (
     BackendConfig,
     ContinuationRun,
@@ -142,6 +147,22 @@ class TestReplayRecognition:
         backend = ReplayBackend(str(path))
         with pytest.raises(ReplayMiss):
             backend.complete({"model": "m", "messages": [], "tag": "t"})
+
+    @pytest.mark.parametrize("line, mentioned", [
+        ('{"response_text": "x"}', "request_digest"),
+        ('{"request_digest": "d1"}', "response_text"),
+        ('"d1"', None),
+        ('{"request_digest": {"d": 1}, "response_text": "x"}', None),
+        ('{"request_digest": "d1", ', "JSONDecodeError")])
+    def test_malformed_fixture_line(self, tmp_path, line, mentioned):
+        path = tmp_path / "replay.jsonl"
+        path.write_text('{"request_digest": "d0", "response_text": "A"}\n'
+                        + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecord) as exc:
+            ReplayBackend(str(path))
+        assert exc.value.line_no == 2
+        if mentioned:
+            assert mentioned in exc.value.reason
 
 
 class TestContinuation:

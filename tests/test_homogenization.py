@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -248,11 +249,21 @@ def _novel(novel_id, length=6000, rng=None):
     return AnnotatedSegment(novel_id, "Fantasy", text, anns)
 
 
+def _build_corpus():
+    rng = random.Random(8)
+    return {f"novel{i:03d}": _novel(f"novel{i:03d}", rng=rng)
+            for i in range(100)}
+
+
+# Built once per module: the novels draw from one seeded generator in id
+# order, so the first n novels of the full corpus equal a fresh n-novel one.
+_CORPUS = _build_corpus()
+
+
 class TestSampleWindows:
     def _corpus(self, n=100):
-        rng = random.Random(8)
-        return {f"novel{i:03d}": _novel(f"novel{i:03d}", rng=rng)
-                for i in range(n)}
+        """A new dict over the shared novels; callers may add to it."""
+        return dict(itertools.islice(_CORPUS.items(), n))
 
     def test_default_protocol_yields_20(self):
         windows = sample_windows(self._corpus(), seed=1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from narrfunc import paradigm, taxonomy
+from narrfunc.annotation import FunctionSequence
 from narrfunc.paradigm import (
     AltSet,
     LINEAR,
@@ -28,20 +29,26 @@ from narrfunc.errors import (
 )
 
 
-def oracle_matches(symbols, pattern):
+def oracle_bindings(symbols, pattern):
     """Independent matcher: enumerate every strictly increasing index
-    assignment and check anchors plus element membership directly."""
+    assignment and check anchors plus element membership directly.
+    Combinations come in lexicographic order, so the first hit is the
+    greedy leftmost assignment."""
     n = len(symbols)
     if n < 2:
-        return False
+        return None
     k = len(pattern.elements)
     for combo in itertools.combinations(range(n), k):
         if combo[0] != 0 or combo[-1] != n - 1:
             continue
         if all(element_accepts(el, symbols[i])
                for el, i in zip(pattern.elements, combo)):
-            return True
-    return False
+            return list(combo)
+    return None
+
+
+def oracle_matches(symbols, pattern):
+    return oracle_bindings(symbols, pattern) is not None
 
 
 class TestParsePattern:
@@ -216,6 +223,72 @@ def test_altset_widening(seq):
         assert matches(seq, wide).matched
 
 
+@st.composite
+def corpus_and_patterns(draw):
+    """Sequences of 0-12 symbols over a 3-5 symbol alphabet, and 1-3
+    labelled patterns of 2-5 elements mixing symbols and AltSets."""
+    alphabet = draw(st.lists(symbols_st, min_size=3, max_size=5, unique=True))
+    letter = st.sampled_from(alphabet)
+    element = st.one_of(
+        letter,
+        st.lists(letter, min_size=2, max_size=3, unique=True).map(
+            lambda options: AltSet(tuple(options))))
+    patterns = []
+    for i in range(draw(st.integers(1, 3))):
+        elements = draw(st.lists(element, min_size=2, max_size=5))
+        connectors = draw(st.lists(st.sampled_from((LINEAR, NONLINEAR)),
+                                   min_size=len(elements) - 1,
+                                   max_size=len(elements) - 1))
+        patterns.append(paradigm.ParadigmPattern(
+            tuple(elements), tuple(connectors), plot_label=f"p{i}"))
+    seqs = draw(st.lists(st.lists(letter, max_size=12), min_size=1, max_size=8))
+    return seqs, patterns
+
+
+@given(corpus_and_patterns())
+def test_matchers_against_oracle(case):
+    seqs, patterns = case
+    for seq in seqs:
+        if not seq:
+            with pytest.raises(EmptySequence):
+                matches(seq, patterns[0])
+            with pytest.raises(EmptySequence):
+                classify(seq, patterns)
+            continue
+        expected = []
+        for p in patterns:
+            bindings = oracle_bindings(seq, p)
+            for form in (seq, tuple(seq), FunctionSequence(list(seq))):
+                result = matches(form, p)
+                assert result.matched == (bindings is not None)
+                assert result.bindings == bindings
+            if len(seq) == 1:
+                assert not result.matched
+            if bindings is not None:
+                expected.append(p.plot_label)
+        assert classify(seq, patterns) == expected
+        assert classify(FunctionSequence(list(seq)), patterns) == expected
+    nonempty = [s for s in seqs if s]
+    for p in patterns:
+        if any(not s for s in seqs):
+            with pytest.raises(EmptySequence):
+                support(seqs, p)
+        if nonempty:
+            hits = sum(oracle_matches(s, p) for s in nonempty)
+            assert support(nonempty, p) == Fraction(hits, len(nonempty))
+
+
+def test_compiled_sets_stay_out_of_eq_and_repr():
+    a = parse_pattern("(A)->(Q)->{O/S}", plot_label="battle")
+    b = paradigm.ParadigmPattern(("A", "Q", AltSet(("O", "S"))),
+                                 (LINEAR, LINEAR), "battle")
+    assert a == b
+    assert repr(a) == repr(b)
+    assert "frozenset" not in repr(a)
+    assert a.elements[-1].options == ("O", "S")
+    assert emit_pattern(a) == "(A)->(Q)->{O/S}"
+
+
 class TestMine:
     def test_battle_column(self, plot_corpora):
         mined = mine(plot_corpora["battle"], Fraction(3, 5), 2)
@@ -247,6 +320,12 @@ class TestMine:
         modal = max(set(firsts), key=firsts.count)
         mined = mine(plot_corpora["battle"], Fraction(3, 5), 2)
         assert mined.elements[0] == modal
+
+    def test_interior_from_anchor_conforming_sequences_only(self):
+        # Y is in 2 of the 3 sequences that end on S, but in only 2 of 5
+        # overall; taking it makes the linear candidate fall short.
+        seqs = [["A", "K", "Y", "S"]] * 2 + [["A", "K", "S"]] + [["A", "B"]] * 2
+        assert emit_pattern(mine(seqs, Fraction(3, 5), 1)) == "(A)~>(S)"
 
     def test_mining_failed(self):
         # 4 distinct first symbols, max_alt 1, threshold 1.0
