@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from . import taxonomy
 from .errors import (
     DuplicateId,
-    EmptyInput,
     InvalidGenre,
     MalformedRecord,
     ParenthesizedUnknownToken,
@@ -117,11 +116,9 @@ def sequence_of(segment):
     return FunctionSequence(syms, source_id=segment.id)
 
 
-def parse_sequence_string(s, strict=False):
+def parse_sequence_string(s):
     """Parse hyphen-joined notation such as ``A-Lo-E-Q-P-S``."""
     if not s.strip():
-        if strict:
-            raise EmptyInput("blank sequence string")
         return FunctionSequence([])
     tokens = s.split("-")
     if not _SYMBOL_SET.issuperset(tokens):
@@ -176,7 +173,7 @@ def _normalize_genre(raw):
 def segment_from_record(record, strict=False):
     """Build a validated segment from one decoded corpus record."""
     seg_id = record.get("id")
-    if not seg_id:
+    if seg_id is None or seg_id == "":
         raise KeyError("id")
     genre = _normalize_genre(record["genre"])
     if "text" in record:

@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import __version__, annotation, harness, homogenization, metrics, paradigm, taxonomy
+from . import __version__, annotation, harness, homogenization, paradigm, taxonomy
 from .errors import (
     BackendUnreachable,
     EmptyCorpus,
@@ -229,8 +229,8 @@ def cmd_match(args):
 
 def cmd_mine(args):
     seqs = _load_seq_file(args.sequences)
+    mined = paradigm.mine(seqs, min_support=args.support, max_alt=args.max_alt)
     min_support = Fraction(args.support).limit_denominator(10**6)
-    mined = paradigm.mine(seqs, min_support=min_support, max_alt=args.max_alt)
     report = {
         "header": _header("mine", {"min_support": str(min_support),
                                    "max_alt": args.max_alt}, [args.sequences]),

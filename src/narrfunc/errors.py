@@ -86,7 +86,3 @@ class ReplayMiss(NarrfuncError):
     def __init__(self, digest):
         self.digest = digest
         super().__init__(f"no replay fixture for request digest {digest}")
-
-
-class MissingSidecar(NarrfuncError):
-    pass

@@ -10,8 +10,7 @@ Three backend kinds share one request shape (a chat-style JSON payload):
 
 Per-request faults never abort a run: each failed call lands in the
 error ledger.  In recognition it scores as an all-absent prediction; in
-continuation the episode is ``None`` and, when the model annotates it,
-its sequence is empty.
+continuation the episode is ``None`` and its sequence is empty.
 """
 
 import hashlib
@@ -22,10 +21,9 @@ from dataclasses import dataclass, field
 
 from . import annotation, metrics, taxonomy
 from .annotation import emit_inline, sequence_of
-from .errors import BackendUnreachable, MalformedRecord, MissingSidecar, ReplayMiss
+from .errors import BackendUnreachable, MalformedRecord, ReplayMiss
 
 ENV_API_KEY = "NARR_API_KEY"
-ENV_API_URL = "NARR_API_URL"
 
 DEFAULT_RECOGNITION_TEMPLATE = (
     "You are given a registry of 34 narrative functions:\n"
@@ -60,18 +58,13 @@ class RecognitionRun:
     rounds: int = 10
     preds_per_round: int = 5
     seed: int = 0
-    common_set: frozenset = metrics.DEFAULT_COMMON
-    template: str = DEFAULT_RECOGNITION_TEMPLATE
 
 
 @dataclass
 class ContinuationRun:
     preface: object  # AnnotatedSegment
     n_episodes: int = 5
-    annotation_mode: str = "model"  # model | file
-    sidecar_paths: list = None  # one sequence file per episode when mode=file
     seed: int = 0
-    template: str = DEFAULT_CONTINUATION_TEMPLATE
 
 
 @dataclass
@@ -169,10 +162,9 @@ class HttpBackend:
     dotted path expression (keys and list indices)."""
 
     def __init__(self, cfg):
-        endpoint = cfg.endpoint or os.environ.get(ENV_API_URL)
-        if not endpoint or not cfg.model_name:
+        if not cfg.endpoint or not cfg.model_name:
             raise BackendUnreachable("http backend needs endpoint and model_name")
-        self.endpoint = endpoint
+        self.endpoint = cfg.endpoint
         self.cfg = cfg
 
     def complete(self, payload):
@@ -257,11 +249,9 @@ def run_recognition(cfg, run):
     """Score ``rounds x preds_per_round`` predictions over the run's
     segments and aggregate them per round."""
     backend = make_backend(cfg, run.segments)
-    system = run.template.format(functions=functions_block())
+    system = DEFAULT_RECOGNITION_TEMPLATE.format(functions=functions_block())
     gold = metrics.gold_instances(
-        [s for seg in run.segments for s in sequence_of(seg)],
-        common_set=run.common_set,
-    )
+        [s for seg in run.segments for s in sequence_of(seg)])
     tasks = []  # (round, pred, segment, payload)
     for r in range(run.rounds):
         for p in range(run.preds_per_round):
@@ -297,34 +287,17 @@ def run_recognition(cfg, run):
     return RecognitionResult(report=report, errors=errors, requests=len(tasks))
 
 
-def _load_sidecar(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            seqs = annotation.load_sequences(fh, source_id=path)
-    except OSError as exc:
-        raise MissingSidecar(f"cannot read sidecar {path}: {exc}") from exc
-    if not seqs:
-        raise MissingSidecar(f"sidecar {path} holds no sequence")
-    return seqs[0]
-
-
 def run_continuation(cfg, run):
     """Generate ``n_episodes`` continuations of the preface and recover a
-    function sequence for each, either from a second annotation pass
-    over the episode (mode ``model``) or from sidecar files (``file``).
+    function sequence from each episode's text with
+    :func:`annotation.extract_symbols`.
 
     Returns ``(episodes, sequences, errors)``; a failed request leaves its
     episode ``None`` and adds one ledger entry instead of raising."""
     backend = make_backend(cfg, [run.preface])
-    if run.annotation_mode == "file":
-        paths = run.sidecar_paths or []
-        if len(paths) != run.n_episodes:
-            raise MissingSidecar(
-                f"{len(paths)} sidecar files for {run.n_episodes} episodes")
-
     payloads = [
         build_payload(
-            cfg, run.template, run.preface.clean_text,
+            cfg, DEFAULT_CONTINUATION_TEMPLATE, run.preface.clean_text,
             f"continuation:seed={run.seed}:episode={i}")
         for i in range(run.n_episodes)
     ]
@@ -332,10 +305,6 @@ def run_continuation(cfg, run):
     episodes = [text for text, _ in results]
     errors = [_error_entry(exc, episode=i)
               for i, (_, exc) in enumerate(results) if exc is not None]
-
-    if run.annotation_mode == "file":
-        sequences = [_load_sidecar(p) for p in run.sidecar_paths]
-    else:
-        sequences = [annotation.FunctionSequence(annotation.extract_symbols(e))
-                     for e in episodes]
+    sequences = [annotation.FunctionSequence(annotation.extract_symbols(e))
+                 for e in episodes]
     return episodes, sequences, errors

@@ -32,8 +32,6 @@ LCS = "lcs"
 @dataclass
 class EpisodeSet:
     episodes: list  # FunctionSequence, all nonempty, >= 2 of them
-    source_model: str = None
-    preface_id: str = None
 
 
 @dataclass

@@ -17,7 +17,6 @@ RARE = "rare"
 
 #: Split attested for the recognition experiment's two fixture passages.
 DEFAULT_COMMON = frozenset({"K", "E", "F", "A"})
-DEFAULT_RARE = frozenset({"De", "Fa", "Lo", "J", "Re", "G"})
 
 #: Marks a gold instance the model produced no symbol for.
 ABSENT = None
@@ -58,7 +57,6 @@ class EvaluationReport:
     common: dict  # metric name -> MetricSummary
     rare: dict
     sum: dict
-    round_means: list  # one (common, rare, sum) SplitMetrics triple per round
 
 
 def classify_split(symbol, common_set=DEFAULT_COMMON):
@@ -159,7 +157,6 @@ def aggregate(rounds):
         common=summarize(0),
         rare=summarize(1),
         sum=summarize(2),
-        round_means=round_means,
     )
 
 

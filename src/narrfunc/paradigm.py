@@ -47,10 +47,6 @@ class AltSet:
         return "{" + "/".join(self.options) + "}"
 
 
-def element_accepts(element, symbol):
-    return symbol in (element.options if isinstance(element, AltSet) else (element,))
-
-
 @dataclass
 class ParadigmPattern:
     elements: tuple  # symbols and AltSets, length >= 2
@@ -125,6 +121,8 @@ def parse_pattern(s, plot_label=None):
                 taxonomy.parse_symbol(option)
             if len(options) < 2:
                 raise PatternSyntaxError(m.start(), "alternation needs >= 2 symbols")
+            if len(set(options)) != len(options):
+                raise PatternSyntaxError(m.start(), "alternation options must be distinct")
             elements.append(AltSet(options))
         expect_element = False
     if expect_element:
@@ -230,8 +228,10 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
     seqs = list(map(_symbols, seqs))
     if not seqs:
         raise EmptyCorpus("mining over an empty corpus")
-    min_support = Fraction(min_support).limit_denominator(10**6)
-    if not 0 < min_support <= 1:
+    # Range-checked before Fraction(), which raises on inf and nan; a value
+    # that rounds to 0 at the 10**-6 resolution is out of range too.
+    min_support = 0 < min_support <= 1 and Fraction(min_support).limit_denominator(10**6)
+    if not min_support:
         raise ValueError("min_support must be in (0, 1]")
     if max_alt < 1:
         raise ValueError("max_alt must be >= 1")

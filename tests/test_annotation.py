@@ -18,7 +18,6 @@ from narrfunc.annotation import (
 )
 from narrfunc.errors import (
     DuplicateId,
-    EmptyInput,
     InvalidGenre,
     MalformedRecord,
     ParenthesizedUnknownToken,
@@ -201,8 +200,6 @@ class TestParseSequenceString:
 
     def test_blank(self):
         assert parse_sequence_string("").symbols == []
-        with pytest.raises(EmptyInput):
-            parse_sequence_string("  ", strict=True)
 
     def test_round_trip(self):
         seq = parse_sequence_string("A-J-E-Q-M-N-O")
@@ -246,6 +243,15 @@ class TestLoadCorpus:
     def test_missing_id(self):
         with pytest.raises(MalformedRecord):
             load_corpus(['{"genre": "Urban", "text": "x"}'])
+
+    @pytest.mark.parametrize("seg_id", ["null", '""'])
+    def test_null_or_empty_id(self, seg_id):
+        with pytest.raises(MalformedRecord):
+            load_corpus(['{"id": %s, "genre": "Urban", "text": "x"}' % seg_id])
+
+    def test_zero_id(self):
+        seg = load_corpus(['{"id": 0, "genre": "Urban", "text": "x"}'])[0]
+        assert seg.id == "0"
 
     def test_strict_unknown_marker(self):
         with pytest.raises(ParenthesizedUnknownToken):

@@ -166,6 +166,15 @@ class TestMine:
         assert code == cli.EXIT_ANALYTIC
         assert "mining failed" in err
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_support_exit_2(self, capsys, value):
+        # "=" keeps argparse from reading "-inf" as an option.
+        code, out, err = run_cli(capsys, "mine", str(DATA / "plots_battle.seq"),
+                                 f"--support={value}")
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err == "error: min_support must be in (0, 1]\n"
+
 
 class TestEmptySequenceFile:
     @pytest.mark.parametrize("content", ["", "# only a comment\n\n  # another\n"])

@@ -5,12 +5,11 @@ import time
 
 import pytest
 
-from narrfunc import annotation, harness, metrics
+from narrfunc import harness
 from narrfunc.annotation import AnnotatedSegment, parse_inline, sequence_of
 from narrfunc.errors import (
     BackendUnreachable,
     MalformedRecord,
-    MissingSidecar,
     ReplayMiss,
 )
 from narrfunc.harness import (
@@ -176,32 +175,22 @@ class TestContinuation:
         assert [s.symbols for s in seqs_a] == [s.symbols for s in seqs_b]
         assert all(s.symbols == ["A", "Q", "S"] for s in seqs_a)
 
-    def test_replay_with_episodes_sidecars(self, tmp_path, segments):
+    def test_replay_hyphen_line_episodes(self, tmp_path, segments):
+        # Each recorded episode ends in one doubao sequence, so the replayed
+        # set is varied, unlike the mock's fixed A-Q-S.
         doubao_lines = [
             line for line in
             (DATA / "episodes_doubao.seq").read_text().splitlines()
             if line and not line.startswith("#")]
-        sidecars = []
-        for i, line in enumerate(doubao_lines):
-            p = tmp_path / f"ep{i}.seq"
-            p.write_text(line + "\n")
-            sidecars.append(str(p))
-        cfg = BackendConfig(kind="replay", replay_path=str(tmp_path / "r.jsonl"))
-        replay = tmp_path / "r.jsonl"
-        with open(replay, "w") as fh:
-            for i in range(5):
-                payload = build_payload(
-                    cfg, harness.DEFAULT_CONTINUATION_TEMPLATE,
-                    segments[0].clean_text, f"continuation:seed=0:episode={i}")
-                fh.write(json.dumps({
-                    "request_digest": request_digest(payload),
-                    "response_text": f"episode {i} text",
-                }) + "\n")
-        run = ContinuationRun(preface=segments[0], n_episodes=5,
-                              annotation_mode="file", sidecar_paths=sidecars)
-        episodes, seqs, _ = run_continuation(cfg, run)
-        assert len(episodes) == 5
+        replies = [f"Episode {i}: the hero returns.\n\n{line}\n"
+                   for i, line in enumerate(doubao_lines)]
+        cfg = self._replay_cfg(tmp_path, segments, replies)
+        run = ContinuationRun(preface=segments[0], n_episodes=5)
+        episodes, seqs, errors = run_continuation(cfg, run)
+        assert errors == []
+        assert episodes == replies
         assert ["-".join(s.symbols) for s in seqs] == doubao_lines
+        assert len(set(doubao_lines)) > 1
 
     def _replay_cfg(self, tmp_path, segments, replies):
         """Replay fixture answering episode ``i`` with ``replies[i]``; a
@@ -240,27 +229,13 @@ class TestContinuation:
         assert list(errors[0]) == ["episode", "error", "detail"]
         assert (errors[0]["episode"], errors[0]["error"]) == (1, "ReplayMiss")
 
-    def test_missing_sidecar(self, segments):
-        cfg = BackendConfig(kind="mock")
-        run = ContinuationRun(preface=segments[0], n_episodes=5,
-                              annotation_mode="file",
-                              sidecar_paths=["a", "b", "c", "d"])
-        with pytest.raises(MissingSidecar):
-            run_continuation(cfg, run)
-
 
 class TestHttpConfig:
     def test_requires_endpoint_and_model(self):
         with pytest.raises(BackendUnreachable):
             make_backend(BackendConfig(kind="http"))
 
-    def test_env_endpoint_override(self, monkeypatch):
-        monkeypatch.setenv(harness.ENV_API_URL, "http://example.test/v1")
-        backend = make_backend(BackendConfig(kind="http", model_name="m"))
-        assert backend.endpoint == "http://example.test/v1"
-
-    def test_explicit_endpoint_beats_env(self, monkeypatch):
-        monkeypatch.setenv(harness.ENV_API_URL, "http://env.test/v1")
+    def test_explicit_endpoint(self):
         backend = make_backend(BackendConfig(
             kind="http", endpoint="http://flag.test/v1", model_name="m"))
         assert backend.endpoint == "http://flag.test/v1"
@@ -308,7 +283,6 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
 
 @pytest.fixture
 def chat_server(monkeypatch):
-    monkeypatch.delenv(harness.ENV_API_URL, raising=False)
     monkeypatch.delenv(harness.ENV_API_KEY, raising=False)
     server = _ChatServer(("127.0.0.1", 0), _ChatHandler)
     server.seen, server.done, server.answers = [], [], {}

@@ -12,7 +12,6 @@ from narrfunc.paradigm import (
     NONLINEAR,
     builtin_paradigms,
     classify,
-    element_accepts,
     emit_pattern,
     matches,
     mine,
@@ -27,6 +26,10 @@ from narrfunc.errors import (
     TooFewElements,
     UnknownSymbol,
 )
+
+
+def element_accepts(element, symbol):
+    return symbol in (element.options if isinstance(element, AltSet) else (element,))
 
 
 def oracle_bindings(symbols, pattern):
@@ -81,6 +84,13 @@ class TestParsePattern:
     def test_missing_connector(self):
         with pytest.raises(PatternSyntaxError):
             parse_pattern("(A)(B)")
+
+    def test_duplicate_alternation_option(self):
+        with pytest.raises(PatternSyntaxError) as exc_info:
+            parse_pattern("(A)->{O/O}")
+        assert exc_info.value.position == 5
+        with pytest.raises(ValueError):  # direct construction still checks
+            AltSet(("O", "O"))
 
     def test_emit_round_trip(self):
         for text in ["(A)->(Q)->{O/S}", "(Em)~>(Ch)", "(W)->(De)~>(S)"]:
@@ -336,3 +346,10 @@ class TestMine:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             mine([], Fraction(1, 2), 1)
+
+    # 1e-9 is in (0, 1] but rounds to 0 at the 10**-6 resolution.
+    @pytest.mark.parametrize("min_support", [
+        float("inf"), float("-inf"), float("nan"), 0, 1.5, 1e-9])
+    def test_support_out_of_range(self, min_support):
+        with pytest.raises(ValueError, match=r"min_support must be in \(0, 1\]"):
+            mine([["A", "S"]], min_support, 1)
