@@ -8,6 +8,9 @@ accepts any combination while emission normalizes to ASCII.
 
 Offsets are counted in Unicode code points of the *clean* text, i.e. the
 text with every recognized marker removed.
+
+A loaded ``FunctionSequence`` has slots and holds only its symbols, each
+one the registry's own string object: no sequence owns a string per token.
 """
 
 import json
@@ -33,7 +36,8 @@ _GENRE_ALIASES = {
 }
 
 _MARKER_RE = re.compile(r"[（(]([A-Za-z]{1,2})[)）]")
-_SYMBOL_SET = frozenset(taxonomy.SYMBOLS)
+# Each symbol onto itself: a lookup yields the registry's own string.
+_CANON = {s: s for s in taxonomy.SYMBOLS}
 
 
 @dataclass(frozen=True, order=True)
@@ -52,10 +56,9 @@ class AnnotatedSegment:
     annotator: str = None
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionSequence:
     symbols: list
-    source_id: str = None
 
     def __len__(self):
         return len(self.symbols)
@@ -113,22 +116,21 @@ def emit_inline(segment):
 def sequence_of(segment):
     """The segment's symbols in marker order, duplicates preserved."""
     syms = [a.symbol for a in sorted(segment.annotations, key=lambda a: a.offset)]
-    return FunctionSequence(syms, source_id=segment.id)
+    return FunctionSequence(syms)
 
 
 def parse_sequence_string(s):
     """Parse hyphen-joined notation such as ``A-Lo-E-Q-P-S``."""
     if not s.strip():
         return FunctionSequence([])
-    tokens = s.split("-")
-    if not _SYMBOL_SET.issuperset(tokens):
-        # Slow path: strip padding, then report the first unknown token.
-        tokens = [raw.strip() for raw in tokens]
-        for i, token in enumerate(tokens):
-            if not taxonomy.is_symbol(token):
-                raise UnknownSymbol(token, position=i)
-    # Sliced: a list from str.split keeps spare slots for its whole life.
-    return FunctionSequence(tokens[:])
+    try:
+        return FunctionSequence(list(map(_CANON.__getitem__, s.split("-"))))
+    except KeyError:  # slow path: strip padding, report the first unknown token
+        tokens = [raw.strip() for raw in s.split("-")]
+    for i, token in enumerate(tokens):
+        if token not in _CANON:
+            raise UnknownSymbol(token, position=i)
+    return FunctionSequence(list(map(_CANON.__getitem__, tokens)))
 
 
 def extract_symbols(text):
@@ -150,17 +152,10 @@ def extract_symbols(text):
     return []
 
 
-def load_sequences(lines, source_id=None):
+def load_sequences(lines):
     """Read one hyphen sequence per line; blank lines and # comments skipped."""
-    out = []
-    for i, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        seq = parse_sequence_string(stripped)
-        seq.source_id = f"{source_id}:{i}" if source_id else str(i)
-        out.append(seq)
-    return out
+    stripped = (line.strip() for line in lines)
+    return [parse_sequence_string(s) for s in stripped if s and not s.startswith("#")]
 
 
 def _normalize_genre(raw):

@@ -2,9 +2,10 @@
 
 Subcommands tie the library into reproducible workflows; every report
 opens with a provenance header (tool version, effective settings, input
-digests) so each number can be traced to its inputs.  Exit codes:
-0 success, 2 input/config error, 3 analytic failure, 4 backend
-unreachable.
+digests) so each number can be traced to its inputs.  All input is checked
+before the first byte goes out; ``match`` streams its rows (:func:`_emit`).
+Exit codes: 0 success, 1 stdout closed early (``| head``), 2 input/config
+error, 3 analytic failure, 4 backend unreachable.
 """
 
 import argparse
@@ -12,17 +13,17 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain, islice
+from json.encoder import encode_basestring
 
 from . import __version__, annotation, harness, homogenization, paradigm, taxonomy
-from .errors import (
-    BackendUnreachable,
-    EmptyCorpus,
-    MiningFailed,
-    NarrfuncError,
-)
+from .errors import BackendUnreachable, EmptyCorpus, MiningFailed, NarrfuncError
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_INPUT = 2
 EXIT_ANALYTIC = 3
 EXIT_BACKEND = 4
@@ -45,33 +46,69 @@ def _header(command, settings, inputs):
     }
 
 
+_JSON = dict(sort_keys=True, ensure_ascii=False, indent=2, default=str)
+_ROWS_PER_WRITE = 2048
+
+
 def _emit(report, fmt, out=None):
+    """Write the dict *report* as text, or as ``json.dumps(report, **_JSON)``
+    would with each top-level iterator of flat rows listed by _write_rows."""
     out = out if out is not None else sys.stdout
-    if fmt == "json":
-        out.write(json.dumps(report, sort_keys=True, ensure_ascii=False,
-                             indent=2, default=str))
-        out.write("\n")
-    else:
-        _emit_text(report, out)
+    if fmt != "json":
+        return _emit_text(report, out)
+    lead = "{\n  "
+    for key in sorted(report):
+        out.write(f"{lead}{encode_basestring(key)}: ")
+        if isinstance(report[key], Iterator):
+            _write_rows(report[key], out)
+        else:  # one level deep; JSON strings hold no raw newline
+            out.write(json.dumps(report[key], **_JSON).replace("\n", "\n  "))
+        lead = ",\n  "
+    out.write("\n}\n" if report else "{}\n")
+
+
+def _write_rows(rows, out):
+    """Write flat rows (dicts of str and str lists) as a JSON list in chunks:
+    a template per key set, a block per distinct list, C-escaped strings."""
+    templates, blocks, lead = {}, {}, "[\n"
+
+    def field(value):
+        if type(value) is str:
+            return encode_basestring(value)
+        if (items := tuple(value)) not in blocks:
+            blocks[items] = "[\n        " + ",\n        ".join(
+                map(encode_basestring, items)) + "\n      ]" if items else "[]"
+        return blocks[items]
+
+    def render(row):
+        if (keys := tuple(row)) not in templates:
+            templates[keys] = sorted(row), "    {" + ",".join(
+                f"\n      {encode_basestring(k).replace('%', '%%')}: %s"
+                for k in sorted(row)) + ("\n    }" if keys else "}")
+        ordered, template = templates[keys]
+        return template % tuple([field(row[k]) for k in ordered])
+
+    while chunk := list(map(render, islice(rows, _ROWS_PER_WRITE))):
+        out.write(lead + ",\n".join(chunk))
+        lead = ",\n"
+    out.write("[]" if lead == "[\n" else "\n  ]")
 
 
 def _emit_text(obj, out, indent=""):
     if isinstance(obj, dict):
         for key in obj:
             value = obj[key]
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, Iterator)):
                 out.write(f"{indent}{key}:\n")
                 _emit_text(value, out, indent + "  ")
             else:
                 out.write(f"{indent}{key}: {value}\n")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, Iterator)):
         for value in obj:
             if isinstance(value, (dict, list)):
                 _emit_text(value, out, indent + "  ")
             else:
                 out.write(f"{indent}- {value}\n")
-    else:
-        out.write(f"{indent}{obj}\n")
 
 
 def _load_config_file(path):
@@ -113,7 +150,7 @@ def cmd_parse(args):
     with open(args.input, encoding="utf-8") as fh:
         lines = fh.readlines()
     if args.format == "seq":
-        seqs = annotation.load_sequences(lines, source_id=args.input)
+        seqs = annotation.load_sequences(lines)
         report = {
             "header": _header("parse", {"format": "seq"}, [args.input]),
             "sequences": ["-".join(s.symbols) for s in seqs],
@@ -190,7 +227,7 @@ def cmd_stats(args):
 
 def _load_seq_file(path):
     with open(path, encoding="utf-8") as fh:
-        return annotation.load_sequences(fh, source_id=path)
+        return annotation.load_sequences(fh)
 
 
 def _support_fields(frac):
@@ -206,14 +243,11 @@ def cmd_match(args):
         patterns = paradigm.builtin_paradigms()
     if not seqs:
         raise EmptyCorpus("support over an empty corpus")
-    # One verdict pass: each pattern's support is counted from the labels.
-    hits = dict.fromkeys((p.plot_label for p in patterns), 0)
-    verdicts = []
-    for s in seqs:
-        labels = paradigm.classify(s, patterns)
-        for label in labels:
-            hits[label] += 1
-        verdicts.append({"sequence": "-".join(s.symbols), "labels": labels})
+    # One verdict pass before any output; rows are built as they are written.
+    shared = {}  # label combination -> the one list its sequences share
+    verdicts = [shared.setdefault(tuple(labels), labels)
+                for labels in (paradigm.classify(s, patterns) for s in seqs)]
+    hits = Counter(chain.from_iterable(verdicts))
     supports = {p.plot_label: {"pattern": paradigm.emit_pattern(p),
                                **_support_fields(Fraction(hits[p.plot_label], len(seqs)))}
                 for p in patterns}
@@ -221,7 +255,8 @@ def cmd_match(args):
         "header": _header("match", {"pattern": args.pattern or "builtins"},
                           [args.sequences]),
         "support": supports,
-        "matches": verdicts,
+        "matches": ({"sequence": "-".join(s.symbols), "labels": labels}
+                    for s, labels in zip(seqs, verdicts)),
     }
     _emit(report, args.output_format)
     return EXIT_OK
@@ -397,7 +432,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:  # as in "Note on SIGPIPE" in Python's signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except BackendUnreachable as exc:
         print(f"backend unreachable: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -239,6 +239,8 @@ def _collect(backend, payloads, max_parallel):
         except Exception as exc:  # captured, never dropped silently
             return None, exc
 
+    if max_parallel < 1:
+        raise ValueError("max_parallel must be >= 1")
     if max_parallel > 1:
         with ThreadPoolExecutor(max_workers=max_parallel) as pool:
             return list(pool.map(call, payloads))

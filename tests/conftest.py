@@ -9,7 +9,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 def load_seq_file(name):
     with open(DATA / name, encoding="utf-8") as fh:
-        return annotation.load_sequences(fh, source_id=name)
+        return annotation.load_sequences(fh)
 
 
 @pytest.fixture(scope="session")

@@ -205,6 +205,14 @@ class TestParseSequenceString:
         seq = parse_sequence_string("A-J-E-Q-M-N-O")
         assert parse_sequence_string("-".join(seq.symbols)).symbols == seq.symbols
 
+    @pytest.mark.parametrize("text", ["Em-Lo-Ch", " Em - Lo -Ch "])
+    def test_symbols_are_the_registry_strings(self, text):
+        # Both the fast and the padded path hand out the registry's objects.
+        symbols = parse_sequence_string(text).symbols
+        assert symbols == ["Em", "Lo", "Ch"]
+        registry = {id(s) for s in taxonomy.SYMBOLS}
+        assert all(id(s) in registry for s in symbols)
+
 
 def _record(i, genre="Fantasy", text="开场(A)结尾(S)"):
     return json.dumps({"id": f"s{i}", "genre": genre, "text": text},

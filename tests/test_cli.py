@@ -1,12 +1,19 @@
+import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from narrfunc import cli, paradigm
+from narrfunc import cli, paradigm, taxonomy
 
 from conftest import DATA, load_seq_file
+
+SRC = DATA.parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +147,46 @@ class TestMatch:
             assert Fraction(report["support"][p.plot_label]["support"]) == \
                 Fraction(hits, len(seqs)) == paradigm.support(seqs, p)
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("content, argv, message", [
+        ("", [], "error: support over an empty corpus"),
+        ("A-Q-S\nA-K-O\nA-Qx-S\n", [], "error: unknown function symbol 'Qx' at position 1"),
+        ("A-Q-S\n", ["--pattern", "(A)->"], "error: pattern syntax error at 5: "),
+    ], ids=["empty-file", "unknown-symbol-on-last-line", "malformed-pattern"])
+    def test_failing_run_writes_nothing(self, tmp_path, capsys, content, argv,
+                                        message, fmt):
+        p = tmp_path / "seqs.seq"
+        p.write_text(content, encoding="utf-8")
+        code, out, err = run_cli(capsys, "match", str(p), *argv,
+                                 "--output-format", fmt)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith(message)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("plots_*.seq")))
+    def test_json_report_is_canonical(self, capsys, name):
+        code, out, _ = run_cli(capsys, "match", str(DATA / name),
+                               "--output-format", "json")
+        assert code == cli.EXIT_OK
+        assert out == _dumps(json.loads(out))
+
+    def test_closed_stdout_exits_1_quietly(self, tmp_path):
+        # A report far larger than a pipe's buffer, so the writer is still
+        # running when the reader goes away after one line, as ``| head -1``.
+        p = tmp_path / "big.seq"
+        p.write_text("A-K-Q-Em-Ch-O\n" * 30000, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "narrfunc.cli", "match", str(p),
+             "--output-format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE
+        assert err == b""
+
     def test_csv_output_rejected(self, capsys):
         # Only ``stats`` writes CSV; elsewhere argparse refuses the choice.
         with pytest.raises(SystemExit) as exc:
@@ -242,6 +289,15 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: malformed record on line 3: ")
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_parallel_below_1_exit_2(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "eval", "--corpus", str(DATA / "recognition_corpus.jsonl"),
+            "--rounds", "1", "--preds", "1", f"--max-parallel={value}")
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err == "error: max_parallel must be >= 1\n"
+
     def test_config_file_endpoint(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("NARR_ENDPOINT", raising=False)
         cfg = tmp_path / "narr.cfg"
@@ -283,3 +339,45 @@ class TestEntryPoint:
             cli.main(["--version"])
         assert exc_info.value.code == 0
         assert "narrfunc" in capsys.readouterr().out
+
+
+# Strings that stress JSON escaping: quotes, backslashes, control and
+# non-ASCII characters, and every registry symbol.
+_text = st.one_of(st.text(alphabet=st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "故",
+     "\U0001f600", "%", "s", "-", " "])), st.sampled_from(taxonomy.SYMBOLS))
+_rows = st.lists(st.dictionaries(
+    _text, st.one_of(_text, st.lists(st.sampled_from(taxonomy.SYMBOLS)),
+                     st.lists(_text, max_size=3)), max_size=3))
+_values = st.one_of(
+    st.integers(), st.none(), _text, _rows,
+    st.dictionaries(_text, st.one_of(_text, st.floats(allow_nan=False))),
+    st.lists(st.one_of(_text, st.integers())))
+
+
+def _dumps(report):
+    return json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2,
+                      default=str) + "\n"
+
+
+def _emitted(report):
+    out = io.StringIO()
+    cli._emit(report, "json", out)
+    return out.getvalue()
+
+
+@given(st.dictionaries(_text, _values, max_size=4),
+       st.dictionaries(_text, _rows, max_size=2))
+def test_emit_equals_json_dumps(plain, row_lists):
+    report = {**plain, **row_lists}
+    expected = _dumps(report)
+    assert _emitted(report) == expected
+    # Rows handed over as an iterator go through the row writer.
+    assert _emitted({**plain, **{k: iter(v) for k, v in row_lists.items()}}) == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, cli._ROWS_PER_WRITE, 2 * cli._ROWS_PER_WRITE + 1])
+def test_emit_rows_across_write_chunks(n):
+    rows = [{"sequence": f"A-{i}", "labels": ["battle"] * (i % 3)} for i in range(n)]
+    report = {"header": {"tool": "x"}, "matches": rows, "support": {}}
+    assert _emitted({**report, "matches": iter(rows)}) == _dumps(report)
