@@ -9,8 +9,8 @@ accepts any combination while emission normalizes to ASCII.
 Offsets are counted in Unicode code points of the *clean* text, i.e. the
 text with every recognized marker removed.
 
-A loaded ``FunctionSequence`` has slots and holds only its symbols, each
-one the registry's own string object: no sequence owns a string per token.
+A function sequence is a plain ``list`` of symbols, each one the
+registry's own string object: no sequence owns a string per token.
 """
 
 import json
@@ -54,17 +54,6 @@ class AnnotatedSegment:
     annotations: list
     rationale: str = None
     annotator: str = None
-
-
-@dataclass(slots=True)
-class FunctionSequence:
-    symbols: list
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
 
 
 @dataclass
@@ -115,22 +104,22 @@ def emit_inline(segment):
 
 def sequence_of(segment):
     """The segment's symbols in marker order, duplicates preserved."""
-    syms = [a.symbol for a in sorted(segment.annotations, key=lambda a: a.offset)]
-    return FunctionSequence(syms)
+    return [a.symbol for a in sorted(segment.annotations, key=lambda a: a.offset)]
 
 
 def parse_sequence_string(s):
-    """Parse hyphen-joined notation such as ``A-Lo-E-Q-P-S``."""
+    """Parse hyphen-joined notation such as ``A-Lo-E-Q-P-S`` into a list
+    of registry-interned symbols."""
     if not s.strip():
-        return FunctionSequence([])
+        return []
     try:
-        return FunctionSequence(list(map(_CANON.__getitem__, s.split("-"))))
+        return list(map(_CANON.__getitem__, s.split("-")))
     except KeyError:  # slow path: strip padding, report the first unknown token
         tokens = [raw.strip() for raw in s.split("-")]
     for i, token in enumerate(tokens):
         if token not in _CANON:
             raise UnknownSymbol(token, position=i)
-    return FunctionSequence(list(map(_CANON.__getitem__, tokens)))
+    return list(map(_CANON.__getitem__, tokens))
 
 
 def extract_symbols(text):
@@ -146,14 +135,15 @@ def extract_symbols(text):
     for line in reversed(text.splitlines()):
         if line.strip():
             try:
-                return list(parse_sequence_string(line))
+                return parse_sequence_string(line)
             except UnknownSymbol:
                 return []
     return []
 
 
 def load_sequences(lines):
-    """Read one hyphen sequence per line; blank lines and # comments skipped."""
+    """Read one hyphen sequence per line into a list of symbol lists; blank
+    lines and # comments are skipped."""
     stripped = (line.strip() for line in lines)
     return [parse_sequence_string(s) for s in stripped if s and not s.startswith("#")]
 

@@ -153,7 +153,7 @@ def cmd_parse(args):
         seqs = annotation.load_sequences(lines)
         report = {
             "header": _header("parse", {"format": "seq"}, [args.input]),
-            "sequences": ["-".join(s.symbols) for s in seqs],
+            "sequences": ["-".join(s) for s in seqs],
             "count": len(seqs),
         }
     elif args.format == "jsonl":
@@ -163,7 +163,7 @@ def cmd_parse(args):
                               [args.input]),
             "segments": [
                 {"id": s.id, "genre": s.genre,
-                 "sequence": "-".join(annotation.sequence_of(s).symbols),
+                 "sequence": "-".join(annotation.sequence_of(s)),
                  "annotations": len(s.annotations)}
                 for s in segments
             ],
@@ -255,7 +255,7 @@ def cmd_match(args):
         "header": _header("match", {"pattern": args.pattern or "builtins"},
                           [args.sequences]),
         "support": supports,
-        "matches": ({"sequence": "-".join(s.symbols), "labels": labels}
+        "matches": ({"sequence": "-".join(s), "labels": labels}
                     for s, labels in zip(seqs, verdicts)),
     }
     _emit(report, args.output_format)

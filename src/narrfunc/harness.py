@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import annotation, metrics, taxonomy
 from .annotation import emit_inline, sequence_of
-from .errors import BackendUnreachable, MalformedRecord, ReplayMiss
+from .errors import BackendUnreachable, EmptyCorpus, MalformedRecord, ReplayMiss
 
 ENV_API_KEY = "NARR_API_KEY"
 
@@ -250,6 +250,8 @@ def _collect(backend, payloads, max_parallel):
 def run_recognition(cfg, run):
     """Score ``rounds x preds_per_round`` predictions over the run's
     segments and aggregate them per round."""
+    if not run.segments:
+        raise EmptyCorpus("recognition over an empty corpus")
     backend = make_backend(cfg, run.segments)
     system = DEFAULT_RECOGNITION_TEMPLATE.format(functions=functions_block())
     gold = metrics.gold_instances(
@@ -265,33 +267,34 @@ def run_recognition(cfg, run):
     results = _collect(backend, [t[3] for t in tasks], cfg.max_parallel)
 
     errors = []
-    rounds = [[None] * run.preds_per_round for _ in range(run.rounds)]
-    # Reassemble per (round, pred): concatenate segment-level predictions
-    # in segment order, mirroring the concatenated gold instance list.
-    per_pred = {}
+    parts = []
     for (r, p, seg, payload), (text, exc) in zip(tasks, results):
         n = len(seg.annotations)
         if exc is not None:
             errors.append(_error_entry(exc, round=r, prediction=p,
                                        segment=seg.id))
-            pred = metrics.Prediction([metrics.ABSENT] * n, 0)
+            parts.append(metrics.Prediction([metrics.ABSENT] * n, 0))
         else:
-            pred = parse_model_output(text, n)
-        per_pred.setdefault((r, p), []).append(pred)
-    for (r, p), parts in per_pred.items():
-        merged = metrics.Prediction(
-            [sym for part in parts for sym in part.per_instance],
-            sum(part.extras for part in parts),
-        )
-        rounds[r][p] = metrics.score_instances(gold, merged)
+            parts.append(parse_model_output(text, n))
 
+    def scored(k):
+        """Score the k-th (round, prediction): tasks run in that order, so
+        its segment results are one consecutive block, merged in segment
+        order to mirror the concatenated gold instance list."""
+        block = parts[k * len(run.segments):(k + 1) * len(run.segments)]
+        return metrics.score_instances(gold, metrics.Prediction(
+            [sym for part in block for sym in part.per_instance],
+            sum(part.extras for part in block)))
+
+    rounds = [[scored(r * run.preds_per_round + p) for p in range(run.preds_per_round)]
+              for r in range(run.rounds)]
     report = metrics.aggregate(rounds)
     return RecognitionResult(report=report, errors=errors, requests=len(tasks))
 
 
 def run_continuation(cfg, run):
     """Generate ``n_episodes`` continuations of the preface and recover a
-    function sequence from each episode's text with
+    function sequence (a symbol list) from each episode's text with
     :func:`annotation.extract_symbols`.
 
     Returns ``(episodes, sequences, errors)``; a failed request leaves its
@@ -307,6 +310,5 @@ def run_continuation(cfg, run):
     episodes = [text for text, _ in results]
     errors = [_error_entry(exc, episode=i)
               for i, (_, exc) in enumerate(results) if exc is not None]
-    sequences = [annotation.FunctionSequence(annotation.extract_symbols(e))
-                 for e in episodes]
+    sequences = [annotation.extract_symbols(e) for e in episodes]
     return episodes, sequences, errors

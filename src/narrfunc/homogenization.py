@@ -31,7 +31,7 @@ LCS = "lcs"
 
 @dataclass
 class EpisodeSet:
-    episodes: list  # FunctionSequence, all nonempty, >= 2 of them
+    episodes: list  # symbol lists, all nonempty, >= 2 of them
 
 
 @dataclass

@@ -73,22 +73,19 @@ def gold_instances(symbols, common_set=DEFAULT_COMMON):
 
 
 def _ratio(num, den):
-    return Fraction(num, den) if den else Fraction(0)
-
-
-def _f1(precision, recall):
-    if precision + recall == 0:
-        return Fraction(0)
-    return 2 * precision * recall / (precision + recall)
+    return num / den if den else 0.0
 
 
 def _split_metrics(matched, n_gold, n_predicted, extras):
-    recall = _ratio(matched, n_gold)
-    precision = _ratio(matched, n_predicted + extras)
-    accuracy = _ratio(matched, n_gold + extras)
-    f1 = _f1(precision, recall)
-    return SplitMetrics(float(accuracy), float(precision),
-                        float(recall), float(f1))
+    """Ratios of int tallies; int true division is correctly rounded, so
+    each float equals the exact rational's.  F1 = 2PR/(P+R) reduces to
+    2·matched/(gold + predicted + extras), and is 0 with no match."""
+    return SplitMetrics(
+        accuracy=_ratio(matched, n_gold + extras),
+        precision=_ratio(matched, n_predicted + extras),
+        recall=_ratio(matched, n_gold),
+        f1=_ratio(2 * matched, n_gold + n_predicted + extras),
+    )
 
 
 def score_instances(gold, pred):

@@ -9,6 +9,7 @@ share only their initial and terminal markers.  Each pattern is compiled
 to one accepted-symbol set per element; every matcher runs one greedy
 anchored kernel over them, failing fast on the anchors, and ``narrfunc
 match`` classifies each sequence once, counting supports from the verdicts.
+A sequence is any list or tuple of symbols, indexed as given.
 """
 
 import re
@@ -61,12 +62,6 @@ class ParadigmPattern:
             raise ValueError("connector count must be element count - 1")
         self._accepts = tuple(frozenset(e.options if isinstance(e, AltSet) else (e,))
                               for e in self.elements)
-
-
-@dataclass
-class MatchResult:
-    matched: bool
-    bindings: list = None  # sequence index per element, strictly increasing
 
 
 def _emit_element(element):
@@ -146,11 +141,6 @@ def builtin_paradigms():
     return [parse_pattern(text, plot_label=label) for label, text in specs]
 
 
-def _symbols(seq):
-    """*seq* as a list; a FunctionSequence's own list is read, not copied."""
-    return getattr(seq, "symbols", None) or list(seq)
-
-
 def _bind(symbols, accepts):
     """Greedy anchored kernel: each element's bound index, or None.  A
     length-1 sequence never matches: one position cannot bind both anchors."""
@@ -174,15 +164,16 @@ def _bind(symbols, accepts):
 
 def matches(seq, pattern):
     """Anchored match: first/last symbols hit the anchors, interior
-    elements occur in order strictly between them (greedy leftmost)."""
-    bindings = _bind(_symbols(seq), pattern._accepts)
-    return MatchResult(bindings is not None, bindings)
+    elements occur in order strictly between them (greedy leftmost).
+
+    Returns the sequence index bound to each element, strictly
+    increasing, or ``None`` when *seq* does not match."""
+    return _bind(seq, pattern._accepts)
 
 
 def classify(seq, patterns):
     """Labels of every matching pattern, in input order."""
-    symbols = _symbols(seq)
-    return [p.plot_label for p in patterns if _bind(symbols, p._accepts) is not None]
+    return [p.plot_label for p in patterns if _bind(seq, p._accepts) is not None]
 
 
 def support(seqs, pattern):
@@ -190,7 +181,7 @@ def support(seqs, pattern):
     seqs = list(seqs)
     if not seqs:
         raise EmptyCorpus("support over an empty corpus")
-    hits = sum(_bind(_symbols(s), pattern._accepts) is not None for s in seqs)
+    hits = sum(_bind(s, pattern._accepts) is not None for s in seqs)
     return Fraction(hits, len(seqs))
 
 
@@ -225,7 +216,7 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
     order is not stable enough), the interiors are dropped and the
     anchors-only nonlinear pattern is returned.
     """
-    seqs = list(map(_symbols, seqs))
+    seqs = list(seqs)
     if not seqs:
         raise EmptyCorpus("mining over an empty corpus")
     # Range-checked before Fraction(), which raises on inf and nan; a value

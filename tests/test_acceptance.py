@@ -97,7 +97,7 @@ def test_acceptance_4_kappa():
         with open(DATA / name, encoding="utf-8") as fh:
             for seg in annotation.load_corpus(fh):
                 pairs.setdefault(seg.id, []).append(
-                    annotation.sequence_of(seg).symbols)
+                    annotation.sequence_of(seg))
     flat_a, flat_b = [], []
     for seq_a, seq_b in pairs.values():
         flat_a.extend(seq_a)

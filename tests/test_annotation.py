@@ -168,11 +168,11 @@ class TestSequenceOf:
                 ["K", "J", "K", "De", "E", "Fa", "Lo"],
                 ["A", "Re", "G", "F"])):
             seg = AnnotatedSegment("x", "Fantasy", *parse_inline(text))
-            assert sequence_of(seg).symbols == expected
+            assert sequence_of(seg) == expected
 
     def test_empty(self):
         seg = AnnotatedSegment("x", "Fantasy", "text", [])
-        assert sequence_of(seg).symbols == []
+        assert sequence_of(seg) == []
 
 
 class TestExtractSymbols:
@@ -185,12 +185,12 @@ class TestExtractSymbols:
 
 class TestParseSequenceString:
     def test_episodes_examples(self):
-        assert parse_sequence_string("A-Lo-E-Q-P-S").symbols == \
+        assert parse_sequence_string("A-Lo-E-Q-P-S") == \
             ["A", "Lo", "E", "Q", "P", "S"]
         assert len(parse_sequence_string("A-J-E-Lo-M-N-O")) == 7
 
     def test_whitespace_tolerated(self):
-        assert parse_sequence_string(" A - Lo -E ").symbols == ["A", "Lo", "E"]
+        assert parse_sequence_string(" A - Lo -E ") == ["A", "Lo", "E"]
 
     def test_invalid_token(self):
         with pytest.raises(UnknownSymbol) as exc_info:
@@ -199,19 +199,23 @@ class TestParseSequenceString:
         assert exc_info.value.position == 1
 
     def test_blank(self):
-        assert parse_sequence_string("").symbols == []
+        assert parse_sequence_string("") == []
 
     def test_round_trip(self):
         seq = parse_sequence_string("A-J-E-Q-M-N-O")
-        assert parse_sequence_string("-".join(seq.symbols)).symbols == seq.symbols
+        assert parse_sequence_string("-".join(seq)) == seq
 
     @pytest.mark.parametrize("text", ["Em-Lo-Ch", " Em - Lo -Ch "])
     def test_symbols_are_the_registry_strings(self, text):
-        # Both the fast and the padded path hand out the registry's objects.
-        symbols = parse_sequence_string(text).symbols
-        assert symbols == ["Em", "Lo", "Ch"]
+        # Both the fast and the padded path hand out the registry's objects,
+        # as do the sequence loader and extraction's hyphen-line path.
         registry = {id(s) for s in taxonomy.SYMBOLS}
-        assert all(id(s) in registry for s in symbols)
+        for symbols in (parse_sequence_string(text),
+                        *annotation.load_sequences(["# header", text, ""]),
+                        extract_symbols(f"Episode outline:\n{text}\n")):
+            assert type(symbols) is list
+            assert symbols == ["Em", "Lo", "Ch"]
+            assert all(id(s) in registry for s in symbols)
 
 
 def _record(i, genre="Fantasy", text="开场(A)结尾(S)"):

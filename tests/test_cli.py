@@ -275,6 +275,14 @@ class TestEval:
         assert code == cli.EXIT_BACKEND
         assert "ReplayMiss" in err
 
+    def test_empty_corpus_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, out, err = run_cli(capsys, "eval", "--corpus", str(empty))
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err == "error: recognition over an empty corpus\n"
+
     @pytest.mark.parametrize("fixture", [
         '{"response_text": "x"}', '{"request_digest": "d"}', '["d", "x"]',
         '{"request_digest": ["d"], "response_text": "x"}', '{"request_digest": '])

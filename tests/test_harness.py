@@ -9,6 +9,7 @@ from narrfunc import harness
 from narrfunc.annotation import AnnotatedSegment, parse_inline, sequence_of
 from narrfunc.errors import (
     BackendUnreachable,
+    EmptyCorpus,
     MalformedRecord,
     ReplayMiss,
 )
@@ -88,10 +89,17 @@ class TestMockRecognition:
         assert a.report == b.report
         assert a.errors == b.errors
 
+    def test_empty_corpus(self):
+        run = RecognitionRun(segments=[], rounds=2, preds_per_round=2)
+        with pytest.raises(EmptyCorpus):
+            run_recognition(BackendConfig(kind="mock"), run)
+
 
 class TestReplayRecognition:
     def _fixture_path(self, tmp_path, segments, responses):
-        """Record one response per (round, pred, segment) request digest."""
+        """Record one response per (round, pred, segment) request digest;
+        *responses* maps a segment id to its reply, which a
+        ``(round, pred, segment id)`` key overrides."""
         cfg = BackendConfig(kind="replay", replay_path="unused")
         system = harness.DEFAULT_RECOGNITION_TEMPLATE.format(
             functions=harness.functions_block())
@@ -105,7 +113,8 @@ class TestReplayRecognition:
                         payload = build_payload(cfg, system, seg.clean_text, tag)
                         fh.write(json.dumps({
                             "request_digest": request_digest(payload),
-                            "response_text": responses[seg.id],
+                            "response_text": responses.get(
+                                (r, p, seg.id), responses[seg.id]),
                         }, ensure_ascii=False) + "\n")
         return str(path)
 
@@ -124,6 +133,19 @@ class TestReplayRecognition:
         assert result.report.sum["accuracy"].mean == pytest.approx(
             0.364, abs=5e-4)
         assert result.report.sum["accuracy"].std == pytest.approx(0.0, abs=1e-12)
+
+    def test_each_prediction_scored_from_its_own_replies(self, tmp_path,
+                                                          segments):
+        # Both predictions of round 1 miss passage1's 7 instances and score
+        # 4/11; round 0 is perfect, so the run scores 15/22 ± 7/22.
+        responses = {seg.id: "-".join(sequence_of(seg)) for seg in segments}
+        responses[1, 0, "passage1"] = responses[1, 1, "passage1"] = "B-B-B-B-B-B-B"
+        path = self._fixture_path(tmp_path, segments, responses)
+        cfg = BackendConfig(kind="replay", replay_path=path)
+        run = RecognitionRun(segments=segments, rounds=2, preds_per_round=2)
+        accuracy = run_recognition(cfg, run).report.sum["accuracy"]
+        assert accuracy.mean == pytest.approx(15 / 22)
+        assert accuracy.std == pytest.approx(7 / 22)
 
     def test_replay_miss_lands_in_ledger(self, tmp_path, segments):
         path = tmp_path / "empty.jsonl"
@@ -172,8 +194,8 @@ class TestContinuation:
         episodes_b, seqs_b, _ = run_continuation(cfg, run)
         assert episodes_a == episodes_b
         assert len(episodes_a) == 2
-        assert [s.symbols for s in seqs_a] == [s.symbols for s in seqs_b]
-        assert all(s.symbols == ["A", "Q", "S"] for s in seqs_a)
+        assert seqs_a == seqs_b
+        assert all(s == ["A", "Q", "S"] for s in seqs_a)
 
     def test_replay_hyphen_line_episodes(self, tmp_path, segments):
         # Each recorded episode ends in one doubao sequence, so the replayed
@@ -189,7 +211,7 @@ class TestContinuation:
         episodes, seqs, errors = run_continuation(cfg, run)
         assert errors == []
         assert episodes == replies
-        assert ["-".join(s.symbols) for s in seqs] == doubao_lines
+        assert ["-".join(s) for s in seqs] == doubao_lines
         assert len(set(doubao_lines)) > 1
 
     def _replay_cfg(self, tmp_path, segments, replies):
@@ -216,7 +238,7 @@ class TestContinuation:
         run = ContinuationRun(preface=segments[0], n_episodes=1)
         _, seqs, errors = run_continuation(cfg, run)
         assert errors == []
-        assert seqs[0].symbols == ["A", "Lo", "E", "Q", "P", "S"]
+        assert seqs[0] == ["A", "Lo", "E", "Q", "P", "S"]
 
     def test_failed_episode_recorded_not_raised(self, tmp_path, segments):
         cfg = self._replay_cfg(
@@ -224,7 +246,7 @@ class TestContinuation:
         run = ContinuationRun(preface=segments[0], n_episodes=3)
         episodes, seqs, errors = run_continuation(cfg, run)
         assert episodes == ["One. (A)", None, "Three. (S)"]
-        assert [s.symbols for s in seqs] == [["A"], [], ["S"]]
+        assert seqs == [["A"], [], ["S"]]
         assert len(errors) == 1
         assert list(errors[0]) == ["episode", "error", "detail"]
         assert (errors[0]["episode"], errors[0]["error"]) == (1, "ReplayMiss")
@@ -346,7 +368,7 @@ class TestHttpBackend:
         # request order; scoring is only perfect if results are realigned.
         for seg, delay in zip(segments, (0.3, 0.0)):
             chat_server.answers[seg.clean_text] = (
-                delay, "-".join(sequence_of(seg).symbols))
+                delay, "-".join(sequence_of(seg)))
         result = self._recognize(chat_server, "/chat", segments,
                                  max_parallel=2)
         assert chat_server.done[0] == segments[1].clean_text

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from narrfunc import metrics, taxonomy
 from narrfunc.metrics import (
@@ -41,6 +41,42 @@ def oracle_score(gold, pred):
               if precision + recall else 0.0)
         out[name] = SplitMetrics(accuracy, precision, recall, f1)
     return out
+
+
+def exact_split_metrics(matched, n_gold, n_predicted, extras):
+    """Reference scoring in exact rationals: each ratio a Fraction (0 on a
+    zero denominator), F1 = 2PR/(P+R), converted to float last."""
+    def ratio(num, den):
+        return Fraction(num, den) if den else Fraction(0)
+
+    recall = ratio(matched, n_gold)
+    precision = ratio(matched, n_predicted + extras)
+    accuracy = ratio(matched, n_gold + extras)
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall else Fraction(0))
+    return SplitMetrics(float(accuracy), float(precision),
+                        float(recall), float(f1))
+
+
+@st.composite
+def tallies(draw):
+    """(matched, gold, predicted, extras) as one split can tally them:
+    predictions align to gold instances, and only a prediction can match."""
+    n_gold = draw(st.integers(0, 10**9))
+    n_predicted = draw(st.integers(0, n_gold))
+    matched = draw(st.integers(0, n_predicted))
+    return matched, n_gold, n_predicted, draw(st.integers(0, 10**9))
+
+
+@given(tallies())
+@example((0, 0, 0, 0))
+@example((0, 0, 0, 3))  # no gold, extras only
+@example((0, 5, 0, 0))  # nothing predicted
+@example((0, 5, 0, 2))
+@example((3, 7, 5, 2))
+@example((1, 3, 3, 0))
+def test_split_metrics_equal_exact_rationals(case):
+    assert metrics._split_metrics(*case) == exact_split_metrics(*case)
 
 
 class TestSplitAssignment:
@@ -183,7 +219,7 @@ class TestCohenKappa:
             with open(DATA / name, encoding="utf-8") as fh:
                 for seg in annotation.load_corpus(fh):
                     pairs.setdefault(seg.id, []).append(
-                        annotation.sequence_of(seg).symbols)
+                        annotation.sequence_of(seg))
         labels_a, labels_b = [], []
         for seq_a, seq_b in pairs.values():
             labels_a.extend(seq_a)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from narrfunc import paradigm, taxonomy
-from narrfunc.annotation import FunctionSequence
 from narrfunc.paradigm import (
     AltSet,
     LINEAR,
@@ -121,33 +120,30 @@ class TestMatches:
         return parse_pattern("(A)->(Q)->{O/S}", plot_label="battle")
 
     def test_conforming(self, battle):
-        result = matches(["A", "F", "H", "K", "Q", "S"], battle)
-        assert result.matched
-        assert result.bindings == [0, 4, 5]
+        assert matches(["A", "F", "H", "K", "Q", "S"], battle) == [0, 4, 5]
 
     def test_wrong_terminal(self, battle):
-        assert not matches(["A", "E", "H", "Q"], battle).matched
+        assert matches(["A", "E", "H", "Q"], battle) is None
 
     def test_emotional(self):
         emotional = parse_pattern("(Em)~>(Ch)")
-        assert matches(["Em", "A", "K", "E", "Ch"], emotional).matched
+        assert matches(["Em", "A", "K", "E", "Ch"], emotional) is not None
 
     def test_interior_must_be_strict(self, battle):
         # Q only at the anchor positions does not satisfy the interior slot
-        assert not matches(["A", "Q"], battle).matched
-        assert not matches(["Q", "A", "S"], battle).matched
+        assert matches(["A", "Q"], battle) is None
+        assert matches(["Q", "A", "S"], battle) is None
 
     def test_length_one_never_matches(self):
         daily = parse_pattern("(A)~>(Ch)")
-        assert not matches(["A"], daily).matched
+        assert matches(["A"], daily) is None
 
     def test_empty_sequence(self, battle):
         with pytest.raises(EmptySequence):
             matches([], battle)
 
     def test_bindings_strictly_increasing(self, battle):
-        result = matches(["A", "Q", "Q", "S"], battle)
-        assert result.bindings == [0, 1, 3]
+        assert matches(["A", "Q", "Q", "S"], battle) == [0, 1, 3]
 
 
 class TestClassify:
@@ -189,8 +185,8 @@ class TestSupport:
         for seqs in plot_corpora.values():
             for seq in seqs:
                 for p in pats:
-                    assert matches(seq, p).matched == \
-                        oracle_matches(list(seq), p)
+                    assert (matches(seq, p) is not None) == \
+                        oracle_matches(seq, p)
 
     def test_all_matching(self):
         assert support([["Em", "Ch"]] * 3, parse_pattern("(Em)~>(Ch)")) == 1
@@ -198,7 +194,7 @@ class TestSupport:
     def test_cross_column(self, plot_corpora):
         emotional = builtin_paradigms()[1]
         expected = Fraction(
-            sum(oracle_matches(list(s), emotional) for s in plot_corpora["battle"]), 60)
+            sum(oracle_matches(s, emotional) for s in plot_corpora["battle"]), 60)
         assert support(plot_corpora["battle"], emotional) == expected
 
     def test_empty_corpus(self):
@@ -213,7 +209,7 @@ sequences_st = st.lists(symbols_st, min_size=2, max_size=8)
 @given(sequences_st)
 def test_anchoring_property(seq):
     battle = parse_pattern("(A)->(Q)->{O/S}")
-    if matches(seq, battle).matched:
+    if matches(seq, battle) is not None:
         assert seq[0] == "A" and seq[-1] in ("O", "S")
 
 
@@ -221,16 +217,16 @@ def test_anchoring_property(seq):
 def test_interior_removal_monotonicity(seq):
     full = parse_pattern("(A)->(K)->(Q)->{O/S}")
     reduced = parse_pattern("(A)->(Q)->{O/S}")
-    if matches(seq, full).matched:
-        assert matches(seq, reduced).matched
+    if matches(seq, full) is not None:
+        assert matches(seq, reduced) is not None
 
 
 @given(sequences_st)
 def test_altset_widening(seq):
     narrow = parse_pattern("(A)->(Q)->(S)")
     wide = parse_pattern("(A)->(Q)->{S/O}")
-    if matches(seq, narrow).matched:
-        assert matches(seq, wide).matched
+    if matches(seq, narrow) is not None:
+        assert matches(seq, wide) is not None
 
 
 @st.composite
@@ -268,16 +264,14 @@ def test_matchers_against_oracle(case):
         expected = []
         for p in patterns:
             bindings = oracle_bindings(seq, p)
-            for form in (seq, tuple(seq), FunctionSequence(list(seq))):
-                result = matches(form, p)
-                assert result.matched == (bindings is not None)
-                assert result.bindings == bindings
+            for form in (seq, tuple(seq)):
+                assert matches(form, p) == bindings
             if len(seq) == 1:
-                assert not result.matched
+                assert matches(seq, p) is None
             if bindings is not None:
                 expected.append(p.plot_label)
         assert classify(seq, patterns) == expected
-        assert classify(FunctionSequence(list(seq)), patterns) == expected
+        assert classify(tuple(seq), patterns) == expected
     nonempty = [s for s in seqs if s]
     for p in patterns:
         if any(not s for s in seqs):
@@ -286,6 +280,8 @@ def test_matchers_against_oracle(case):
         if nonempty:
             hits = sum(oracle_matches(s, p) for s in nonempty)
             assert support(nonempty, p) == Fraction(hits, len(nonempty))
+            assert support(list(map(tuple, nonempty)), p) == \
+                Fraction(hits, len(nonempty))
 
 
 def test_compiled_sets_stay_out_of_eq_and_repr():
@@ -326,7 +322,7 @@ class TestMine:
 
     def test_anchor_frequencies_against_brute_force(self, plot_corpora):
         # start anchor of the battle column is its modal first symbol
-        firsts = [s.symbols[0] for s in plot_corpora["battle"]]
+        firsts = [s[0] for s in plot_corpora["battle"]]
         modal = max(set(firsts), key=firsts.count)
         mined = mine(plot_corpora["battle"], Fraction(3, 5), 2)
         assert mined.elements[0] == modal
