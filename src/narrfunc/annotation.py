@@ -40,7 +40,7 @@ _MARKER_RE = re.compile(r"[（(]([A-Za-z]{1,2})[)）]")
 _CANON = {s: s for s in taxonomy.SYMBOLS}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Annotation:
     offset: int  # code-point index into the clean text
     symbol: str
@@ -52,14 +52,11 @@ class AnnotatedSegment:
     genre: str
     clean_text: str
     annotations: list
-    rationale: str = None
-    annotator: str = None
 
 
 @dataclass
 class CoverageReport:
     counts: dict  # symbol -> number of segments containing it
-    min_segments: int
     passed: bool
     failing: list = field(default_factory=list)
 
@@ -178,8 +175,6 @@ def segment_from_record(record, strict=False):
         genre=genre,
         clean_text=clean_text,
         annotations=annotations,
-        rationale=record.get("rationale"),
-        annotator=record.get("annotator"),
     )
 
 
@@ -220,9 +215,4 @@ def validate_coverage(corpus, min_segments=4):
         for symbol in {a.symbol for a in segment.annotations}:
             counts[symbol] += 1
     failing = [s for s in taxonomy.SYMBOLS if counts[s] < min_segments]
-    return CoverageReport(
-        counts=counts,
-        min_segments=min_segments,
-        passed=not failing,
-        failing=failing,
-    )
+    return CoverageReport(counts=counts, passed=not failing, failing=failing)

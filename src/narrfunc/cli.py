@@ -20,7 +20,8 @@ from itertools import chain, islice
 from json.encoder import encode_basestring
 
 from . import __version__, annotation, harness, homogenization, paradigm, taxonomy
-from .errors import BackendUnreachable, EmptyCorpus, MiningFailed, NarrfuncError
+from .errors import (
+    BackendUnreachable, EmptyCorpus, MalformedRecord, MiningFailed, NarrfuncError)
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -114,11 +115,13 @@ def _emit_text(obj, out, indent=""):
 def _load_config_file(path):
     settings = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise MalformedRecord(line_no, "expected key=value")
             settings[key.strip()] = value.strip()
     return settings
 
@@ -305,10 +308,8 @@ def cmd_eval(args):
     with open(args.corpus, encoding="utf-8") as fh:
         segments = annotation.load_corpus(fh)
     cfg = _backend_config(args)
-    run = harness.RecognitionRun(
-        segments=segments, rounds=args.rounds,
-        preds_per_round=args.preds, seed=args.seed)
-    result = harness.run_recognition(cfg, run)
+    result = harness.run_recognition(cfg, segments, rounds=args.rounds,
+                                     preds_per_round=args.preds, seed=args.seed)
     if args.fail_on_error and result.errors:
         for err in result.errors:
             print(f"error: {err}", file=sys.stderr)

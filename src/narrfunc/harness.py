@@ -8,6 +8,10 @@ Three backend kinds share one request shape (a chat-style JSON payload):
   canonicalized request body, for reproducible runs without network;
 * ``http`` POSTs the payload to a real endpoint.
 
+A run is one call: ``run_recognition(cfg, segments, rounds=10,
+preds_per_round=5, seed=0)`` or ``run_continuation(cfg, preface,
+n_episodes=5, seed=0)``, with ``cfg`` a :class:`BackendConfig`.
+
 Per-request faults never abort a run: each failed call lands in the
 error ledger.  In recognition it scores as an all-absent prediction; in
 continuation the episode is ``None`` and its sequence is empty.
@@ -15,9 +19,10 @@ continuation the episode is ``None`` and its sequence is empty.
 
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import annotation, metrics, taxonomy
 from .annotation import emit_inline, sequence_of
@@ -48,23 +53,6 @@ class BackendConfig:
     timeout: float = 30.0
     max_parallel: int = 1
     replay_path: str = None
-    response_path: str = "choices.0.message.content"
-    decoding: dict = field(default_factory=dict)  # passed through opaquely
-
-
-@dataclass
-class RecognitionRun:
-    segments: list  # AnnotatedSegment, gold annotations included
-    rounds: int = 10
-    preds_per_round: int = 5
-    seed: int = 0
-
-
-@dataclass
-class ContinuationRun:
-    preface: object  # AnnotatedSegment
-    n_episodes: int = 5
-    seed: int = 0
 
 
 @dataclass
@@ -84,7 +72,7 @@ def functions_block():
 def build_payload(cfg, system, user, tag):
     """Canonical request body; ``tag`` distinguishes repeated draws so
     replay fixtures can vary per round/sample."""
-    payload = {
+    return {
         "model": cfg.model_name or "default",
         "messages": [
             {"role": "system", "content": system},
@@ -92,9 +80,6 @@ def build_payload(cfg, system, user, tag):
         ],
         "tag": tag,
     }
-    if cfg.decoding:
-        payload["decoding"] = dict(sorted(cfg.decoding.items()))
-    return payload
 
 
 def request_digest(payload):
@@ -158,12 +143,16 @@ class ReplayBackend:
 
 
 class HttpBackend:
-    """Single-POST chat backend; the response text is pulled out with a
-    dotted path expression (keys and list indices)."""
+    """Single-POST OpenAI-style chat backend: the reply text is
+    ``choices[0].message.content``, and a reply without it fails the
+    request."""
 
     def __init__(self, cfg):
         if not cfg.endpoint or not cfg.model_name:
             raise BackendUnreachable("http backend needs endpoint and model_name")
+        if not 0 < cfg.timeout < math.inf:  # also rejects nan
+            raise ValueError(f"timeout must be a positive finite number of "
+                             f"seconds, not {cfg.timeout!r}")
         self.endpoint = cfg.endpoint
         self.cfg = cfg
 
@@ -177,7 +166,6 @@ class HttpBackend:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         body = {k: v for k, v in payload.items() if k != "tag"}
-        body.update(body.pop("decoding", {}))
         request = urllib.request.Request(
             self.endpoint, data=json.dumps(body).encode("utf-8"),
             headers=headers, method="POST")
@@ -188,16 +176,7 @@ class HttpBackend:
             if isinstance(exc, urllib.error.HTTPError):
                 exc.close()  # an error status still holds its response open
             raise BackendUnreachable(str(exc)) from exc
-        return extract_path(json.loads(raw), self.cfg.response_path)
-
-
-def extract_path(obj, path):
-    for part in path.split("."):
-        if isinstance(obj, list):
-            obj = obj[int(part)]
-        else:
-            obj = obj[part]
-    return obj
+        return json.loads(raw)["choices"][0]["message"]["content"]
 
 
 def make_backend(cfg, segments=None):
@@ -247,20 +226,19 @@ def _collect(backend, payloads, max_parallel):
     return [call(p) for p in payloads]
 
 
-def run_recognition(cfg, run):
-    """Score ``rounds x preds_per_round`` predictions over the run's
+def run_recognition(cfg, segments, rounds=10, preds_per_round=5, seed=0):
+    """Score ``rounds x preds_per_round`` predictions over the gold-annotated
     segments and aggregate them per round."""
-    if not run.segments:
+    if not segments:
         raise EmptyCorpus("recognition over an empty corpus")
-    backend = make_backend(cfg, run.segments)
+    backend = make_backend(cfg, segments)
     system = DEFAULT_RECOGNITION_TEMPLATE.format(functions=functions_block())
-    gold = metrics.gold_instances(
-        [s for seg in run.segments for s in sequence_of(seg)])
+    gold = metrics.gold_instances([s for seg in segments for s in sequence_of(seg)])
     tasks = []  # (round, pred, segment, payload)
-    for r in range(run.rounds):
-        for p in range(run.preds_per_round):
-            for seg in run.segments:
-                tag = f"recognition:seed={run.seed}:round={r}:pred={p}:seg={seg.id}"
+    for r in range(rounds):
+        for p in range(preds_per_round):
+            for seg in segments:
+                tag = f"recognition:seed={seed}:round={r}:pred={p}:seg={seg.id}"
                 tasks.append((r, p, seg, build_payload(
                     cfg, system, seg.clean_text, tag)))
 
@@ -281,30 +259,29 @@ def run_recognition(cfg, run):
         """Score the k-th (round, prediction): tasks run in that order, so
         its segment results are one consecutive block, merged in segment
         order to mirror the concatenated gold instance list."""
-        block = parts[k * len(run.segments):(k + 1) * len(run.segments)]
+        block = parts[k * len(segments):(k + 1) * len(segments)]
         return metrics.score_instances(gold, metrics.Prediction(
             [sym for part in block for sym in part.per_instance],
             sum(part.extras for part in block)))
 
-    rounds = [[scored(r * run.preds_per_round + p) for p in range(run.preds_per_round)]
-              for r in range(run.rounds)]
-    report = metrics.aggregate(rounds)
+    report = metrics.aggregate(
+        [[scored(r * preds_per_round + p) for p in range(preds_per_round)]
+         for r in range(rounds)])
     return RecognitionResult(report=report, errors=errors, requests=len(tasks))
 
 
-def run_continuation(cfg, run):
+def run_continuation(cfg, preface, n_episodes=5, seed=0):
     """Generate ``n_episodes`` continuations of the preface and recover a
     function sequence (a symbol list) from each episode's text with
     :func:`annotation.extract_symbols`.
 
     Returns ``(episodes, sequences, errors)``; a failed request leaves its
     episode ``None`` and adds one ledger entry instead of raising."""
-    backend = make_backend(cfg, [run.preface])
+    backend = make_backend(cfg, [preface])
     payloads = [
-        build_payload(
-            cfg, DEFAULT_CONTINUATION_TEMPLATE, run.preface.clean_text,
-            f"continuation:seed={run.seed}:episode={i}")
-        for i in range(run.n_episodes)
+        build_payload(cfg, DEFAULT_CONTINUATION_TEMPLATE, preface.clean_text,
+                      f"continuation:seed={seed}:episode={i}")
+        for i in range(n_episodes)
     ]
     results = _collect(backend, payloads, cfg.max_parallel)
     episodes = [text for text, _ in results]

@@ -245,6 +245,5 @@ def sample_windows(novels, seed, groups=5, novels_per_group=4, chars=2000):
                 genre=segment.genre,
                 clean_text=text[start:end],
                 annotations=kept,
-                annotator=segment.annotator,
             ))
     return windows

@@ -24,7 +24,6 @@ ABSENT = None
 
 @dataclass(frozen=True)
 class GoldInstance:
-    index: int
     symbol: str
     split: str  # COMMON | RARE
 
@@ -59,17 +58,14 @@ class EvaluationReport:
     sum: dict
 
 
-def classify_split(symbol, common_set=DEFAULT_COMMON):
-    """Common/rare assignment; anything outside the common set is rare."""
-    return COMMON if symbol in common_set else RARE
+def classify_split(symbol):
+    """Common/rare assignment; anything outside DEFAULT_COMMON is rare."""
+    return COMMON if symbol in DEFAULT_COMMON else RARE
 
 
-def gold_instances(symbols, common_set=DEFAULT_COMMON):
+def gold_instances(symbols):
     """Build gold instances from an ordered symbol list."""
-    return [
-        GoldInstance(i, s, classify_split(s, common_set))
-        for i, s in enumerate(symbols)
-    ]
+    return [GoldInstance(s, classify_split(s)) for s in symbols]
 
 
 def _ratio(num, den):

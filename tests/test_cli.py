@@ -318,6 +318,31 @@ class TestEval:
         assert code == cli.EXIT_OK
         assert json.loads(out)["header"]["settings"]["model"] == "demo"
 
+    def test_config_line_without_equals_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "narr.cfg"
+        cfg.write_text("# settings\nmodel = demo\nendpoint http://cfg.test/v1\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--corpus", str(DATA / "recognition_corpus.jsonl"),
+            "--backend", "http", "--config", str(cfg))
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err == "error: malformed record on line 3: expected key=value\n"
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_timeout_exit_2_before_any_request(self, capsys, monkeypatch,
+                                                   value):
+        sent = []
+        monkeypatch.setattr("urllib.request.urlopen",
+                            lambda *a, **k: sent.append(a))
+        code, out, err = run_cli(
+            capsys, "eval", "--corpus", str(DATA / "recognition_corpus.jsonl"),
+            "--backend", "http", "--endpoint", "http://flag.test/v1",
+            "--model", "m", "--rounds", "1", "--preds", "1",
+            f"--timeout={value}")
+        assert (code, out, sent) == (cli.EXIT_INPUT, "", [])
+        assert err.startswith("error: timeout must be a positive finite number")
+        assert err.count("\n") == 1
+
 
 class TestHomog:
     def test_doubao(self, capsys):

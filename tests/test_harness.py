@@ -15,8 +15,7 @@ from narrfunc.errors import (
 )
 from narrfunc.harness import (
     BackendConfig,
-    ContinuationRun,
-    RecognitionRun,
+    HttpBackend,
     ReplayBackend,
     build_payload,
     make_backend,
@@ -71,8 +70,7 @@ class TestParseModelOutput:
 class TestMockRecognition:
     def test_echo_gold_scores_perfect(self, segments):
         cfg = BackendConfig(kind="mock")
-        run = RecognitionRun(segments=segments, rounds=3, preds_per_round=2)
-        result = run_recognition(cfg, run)
+        result = run_recognition(cfg, segments, rounds=3, preds_per_round=2)
         assert result.errors == []
         assert result.requests == 3 * 2 * len(segments)
         for split in (result.report.common, result.report.rare,
@@ -82,17 +80,15 @@ class TestMockRecognition:
 
     def test_deterministic_across_runs(self, segments):
         cfg = BackendConfig(kind="mock", max_parallel=4)
-        run = RecognitionRun(segments=segments, rounds=2, preds_per_round=3,
-                             seed=7)
-        a = run_recognition(cfg, run)
-        b = run_recognition(cfg, run)
+        a = run_recognition(cfg, segments, rounds=2, preds_per_round=3, seed=7)
+        b = run_recognition(cfg, segments, rounds=2, preds_per_round=3, seed=7)
         assert a.report == b.report
         assert a.errors == b.errors
 
     def test_empty_corpus(self):
-        run = RecognitionRun(segments=[], rounds=2, preds_per_round=2)
         with pytest.raises(EmptyCorpus):
-            run_recognition(BackendConfig(kind="mock"), run)
+            run_recognition(BackendConfig(kind="mock"), [], rounds=2,
+                            preds_per_round=2)
 
 
 class TestReplayRecognition:
@@ -126,9 +122,8 @@ class TestReplayRecognition:
         }
         path = self._fixture_path(tmp_path, segments, responses)
         cfg = BackendConfig(kind="replay", replay_path=path)
-        run = RecognitionRun(segments=segments, rounds=10, preds_per_round=5,
-                             seed=0)
-        result = run_recognition(cfg, run)
+        result = run_recognition(cfg, segments, rounds=10, preds_per_round=5,
+                                 seed=0)
         assert result.errors == []
         assert result.report.sum["accuracy"].mean == pytest.approx(
             0.364, abs=5e-4)
@@ -142,8 +137,8 @@ class TestReplayRecognition:
         responses[1, 0, "passage1"] = responses[1, 1, "passage1"] = "B-B-B-B-B-B-B"
         path = self._fixture_path(tmp_path, segments, responses)
         cfg = BackendConfig(kind="replay", replay_path=path)
-        run = RecognitionRun(segments=segments, rounds=2, preds_per_round=2)
-        accuracy = run_recognition(cfg, run).report.sum["accuracy"]
+        accuracy = run_recognition(cfg, segments, rounds=2,
+                                   preds_per_round=2).report.sum["accuracy"]
         assert accuracy.mean == pytest.approx(15 / 22)
         assert accuracy.std == pytest.approx(7 / 22)
 
@@ -151,8 +146,7 @@ class TestReplayRecognition:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         cfg = BackendConfig(kind="replay", replay_path=str(path))
-        run = RecognitionRun(segments=segments, rounds=2, preds_per_round=2)
-        result = run_recognition(cfg, run)
+        result = run_recognition(cfg, segments, rounds=2, preds_per_round=2)
         assert len(result.errors) == result.requests
         assert all(e["error"] == "ReplayMiss" for e in result.errors)
         for summary in result.report.sum.values():
@@ -189,9 +183,8 @@ class TestReplayRecognition:
 class TestContinuation:
     def test_mock_is_deterministic(self, segments):
         cfg = BackendConfig(kind="mock")
-        run = ContinuationRun(preface=segments[0], n_episodes=2)
-        episodes_a, seqs_a, _ = run_continuation(cfg, run)
-        episodes_b, seqs_b, _ = run_continuation(cfg, run)
+        episodes_a, seqs_a, _ = run_continuation(cfg, segments[0], n_episodes=2)
+        episodes_b, seqs_b, _ = run_continuation(cfg, segments[0], n_episodes=2)
         assert episodes_a == episodes_b
         assert len(episodes_a) == 2
         assert seqs_a == seqs_b
@@ -207,8 +200,7 @@ class TestContinuation:
         replies = [f"Episode {i}: the hero returns.\n\n{line}\n"
                    for i, line in enumerate(doubao_lines)]
         cfg = self._replay_cfg(tmp_path, segments, replies)
-        run = ContinuationRun(preface=segments[0], n_episodes=5)
-        episodes, seqs, errors = run_continuation(cfg, run)
+        episodes, seqs, errors = run_continuation(cfg, segments[0], n_episodes=5)
         assert errors == []
         assert episodes == replies
         assert ["-".join(s) for s in seqs] == doubao_lines
@@ -235,16 +227,14 @@ class TestContinuation:
     def test_hyphen_line_reply(self, tmp_path, segments):
         cfg = self._replay_cfg(
             tmp_path, segments, ["The hero returns home.\n\nA-Lo-E-Q-P-S\n"])
-        run = ContinuationRun(preface=segments[0], n_episodes=1)
-        _, seqs, errors = run_continuation(cfg, run)
+        _, seqs, errors = run_continuation(cfg, segments[0], n_episodes=1)
         assert errors == []
         assert seqs[0] == ["A", "Lo", "E", "Q", "P", "S"]
 
     def test_failed_episode_recorded_not_raised(self, tmp_path, segments):
         cfg = self._replay_cfg(
             tmp_path, segments, ["One. (A)", None, "Three. (S)"])
-        run = ContinuationRun(preface=segments[0], n_episodes=3)
-        episodes, seqs, errors = run_continuation(cfg, run)
+        episodes, seqs, errors = run_continuation(cfg, segments[0], n_episodes=3)
         assert episodes == ["One. (A)", None, "Three. (S)"]
         assert seqs == [["A"], [], ["S"]]
         assert len(errors) == 1
@@ -262,12 +252,20 @@ class TestHttpConfig:
             kind="http", endpoint="http://flag.test/v1", model_name="m"))
         assert backend.endpoint == "http://flag.test/v1"
 
+    @pytest.mark.parametrize("timeout", [-1.0, 0, 0.0, float("nan"),
+                                         float("inf"), float("-inf")])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            HttpBackend(BackendConfig(kind="http", endpoint="http://flag.test/v1",
+                                      model_name="m", timeout=timeout))
+
 
 class _ChatServer(http.server.ThreadingHTTPServer):
     """Loopback chat endpoint.  ``/status500`` fails, ``/slow`` stalls for
-    ``slow_s``, ``/malformed`` returns broken JSON; any other path answers
-    from ``answers`` (user text -> (delay, reply)), echoing the user text
-    by default."""
+    ``slow_s``, ``/malformed`` returns broken JSON, ``/nochoices`` returns
+    a JSON object without ``choices``; any other path answers from
+    ``answers`` (user text -> (delay, reply)), echoing the user text by
+    default."""
 
     slow_s = 1.0
 
@@ -286,6 +284,8 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
             time.sleep(self.server.slow_s)
         if self.path == "/malformed":
             reply = b'{"choices": [{"message": '
+        elif self.path == "/nochoices":
+            reply = b'{"error": "x"}'
         else:
             user = json.loads(raw)["messages"][1]["content"]
             delay, text = self.server.answers.get(user, (0, user))
@@ -321,29 +321,20 @@ class TestHttpBackend:
     def _recognize(self, server, path, segments, **cfg_kw):
         cfg = BackendConfig(kind="http", endpoint=server.url + path,
                             model_name="m", **cfg_kw)
-        run = RecognitionRun(segments=segments, rounds=1, preds_per_round=2)
-        return run_recognition(cfg, run)
+        return run_recognition(cfg, segments, rounds=1, preds_per_round=2)
 
     def test_success_and_wire_body(self, chat_server, monkeypatch):
         monkeypatch.setenv(harness.ENV_API_KEY, "sk-test")
         cfg = BackendConfig(kind="http", endpoint=chat_server.url + "/chat",
-                            model_name="m", decoding={"temperature": 0.7})
+                            model_name="m")
         payload = build_payload(cfg, "system", "他逃了出去。", "tag-1")
         chat_server.answers["他逃了出去。"] = (0, "A-K-S")
         assert make_backend(cfg).complete(payload) == "A-K-S"
         headers, raw = chat_server.seen[0]
         assert raw == json.dumps({
-            "model": "m", "messages": payload["messages"],
-            "temperature": 0.7}).encode("utf-8")
+            "model": "m", "messages": payload["messages"]}).encode("utf-8")
         assert headers["Content-Type"] == "application/json"
         assert headers["Authorization"] == "Bearer sk-test"
-
-    def test_response_path(self, chat_server):
-        cfg = BackendConfig(kind="http", endpoint=chat_server.url + "/chat",
-                            model_name="m",
-                            response_path="choices.0.message.role")
-        payload = build_payload(cfg, "system", "text", "tag")
-        assert make_backend(cfg).complete(payload) == "assistant"
 
     def test_status_500_lands_in_ledger(self, chat_server, segments):
         result = self._recognize(chat_server, "/status500", segments)
@@ -362,6 +353,12 @@ class TestHttpBackend:
         result = self._recognize(chat_server, "/malformed", segments)
         assert len(result.errors) == result.requests == 4
         assert all(e["error"] == "JSONDecodeError" for e in result.errors)
+
+    def test_reply_without_choices_lands_in_ledger(self, chat_server, segments):
+        result = self._recognize(chat_server, "/nochoices", segments)
+        assert result.requests == 1 * 2 * len(segments)
+        assert len(result.errors) == result.requests
+        assert all(e["error"] == "KeyError" for e in result.errors)
 
     def test_parallel_results_keep_task_order(self, chat_server, segments):
         # The first segment answers slowly, so replies complete out of
