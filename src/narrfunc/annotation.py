@@ -15,7 +15,7 @@ registry's own string object: no sequence owns a string per token.
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import taxonomy
 from .errors import (
@@ -40,25 +40,9 @@ _MARKER_RE = re.compile(r"[（(]([A-Za-z]{1,2})[)）]")
 _CANON = {s: s for s in taxonomy.SYMBOLS}
 
 
-@dataclass(frozen=True)
-class Annotation:
-    offset: int  # code-point index into the clean text
-    symbol: str
-
-
-@dataclass
-class AnnotatedSegment:
-    id: str
-    genre: str
-    clean_text: str
-    annotations: list
-
-
-@dataclass
-class CoverageReport:
-    counts: dict  # symbol -> number of segments containing it
-    passed: bool
-    failing: list = field(default_factory=list)
+# offset: code-point index into the clean text
+Annotation = namedtuple("Annotation", "offset symbol")
+AnnotatedSegment = namedtuple("AnnotatedSegment", "id genre clean_text annotations")
 
 
 def parse_inline(text, strict=False):
@@ -207,12 +191,3 @@ def load_corpus(lines, strict=False):
         segments.append(segment)
     return segments
 
-
-def validate_coverage(corpus, min_segments=4):
-    """Check that every symbol occurs in at least *min_segments* segments."""
-    counts = {s: 0 for s in taxonomy.SYMBOLS}
-    for segment in corpus:
-        for symbol in {a.symbol for a in segment.annotations}:
-            counts[symbol] += 1
-    failing = [s for s in taxonomy.SYMBOLS if counts[s] < min_segments]
-    return CoverageReport(counts=counts, passed=not failing, failing=failing)

@@ -112,7 +112,8 @@ def _emit_text(obj, out, indent=""):
                 out.write(f"{indent}- {value}\n")
 
 
-def _load_config_file(path):
+def _load_config_file(path, keys):
+    """``key=value`` lines; a key outside *keys* is a malformed record."""
     settings = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -122,13 +123,17 @@ def _load_config_file(path):
             key, sep, value = line.partition("=")
             if not sep:
                 raise MalformedRecord(line_no, "expected key=value")
-            settings[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in keys:
+                raise MalformedRecord(
+                    line_no, f"unknown key {key!r}, expected one of {', '.join(keys)}")
+            settings[key] = value.strip()
     return settings
 
 
 def _resolved(args, keys):
     """flags > env (NARR_<KEY>) > config file."""
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    file_cfg = _load_config_file(args.config, keys) if args.config else {}
     resolved = {}
     for key in keys:
         flag = getattr(args, key, None)

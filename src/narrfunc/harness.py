@@ -21,8 +21,8 @@ import hashlib
 import json
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from . import annotation, metrics, taxonomy
 from .annotation import emit_inline, sequence_of
@@ -45,21 +45,12 @@ DEFAULT_CONTINUATION_TEMPLATE = (
 )
 
 
-@dataclass
-class BackendConfig:
-    kind: str  # mock | replay | http
-    endpoint: str = None
-    model_name: str = None
-    timeout: float = 30.0
-    max_parallel: int = 1
-    replay_path: str = None
-
-
-@dataclass
-class RecognitionResult:
-    report: object  # metrics.EvaluationReport
-    errors: list  # one dict per failed request
-    requests: int
+# kind: mock | replay | http
+BackendConfig = namedtuple(
+    "BackendConfig", "kind endpoint model_name timeout max_parallel replay_path",
+    defaults=(None, None, 30.0, 1, None))
+# report: a metrics.EvaluationReport; errors: one dict per failed request
+RecognitionResult = namedtuple("RecognitionResult", "report errors requests")
 
 
 def functions_block():
@@ -196,7 +187,7 @@ def parse_model_output(text, expected_instances):
 
     Symbols from :func:`annotation.extract_symbols` align to gold
     instances by order; missing positions become absent, surplus ones
-    count as extras.
+    count as extras.  A failed request's ``None`` scores all absent.
     """
     symbols = annotation.extract_symbols(text)
     per_instance = symbols[:expected_instances]
@@ -247,13 +238,10 @@ def run_recognition(cfg, segments, rounds=10, preds_per_round=5, seed=0):
     errors = []
     parts = []
     for (r, p, seg, payload), (text, exc) in zip(tasks, results):
-        n = len(seg.annotations)
         if exc is not None:
             errors.append(_error_entry(exc, round=r, prediction=p,
                                        segment=seg.id))
-            parts.append(metrics.Prediction([metrics.ABSENT] * n, 0))
-        else:
-            parts.append(parse_model_output(text, n))
+        parts.append(parse_model_output(text, len(seg.annotations)))
 
     def scored(k):
         """Score the k-th (round, prediction): tasks run in that order, so

@@ -18,7 +18,7 @@ episode's masks once and reuses them for every pair.
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import taxonomy
@@ -29,27 +29,18 @@ EDIT = "edit"
 LCS = "lcs"
 
 
-@dataclass
-class EpisodeSet:
-    episodes: list  # symbol lists, all nonempty, >= 2 of them
+# episodes: symbol lists, all nonempty, >= 2 of them
+EpisodeSet = namedtuple("EpisodeSet", "episodes")
+# pairwise: symmetric matrix, diagonal 1.0
+HomogeneityReport = namedtuple("HomogeneityReport", (
+    "pairwise mean_similarity first_marker_consistency last_marker_consistency "
+    "distinct_ratio entropy_bits"))
 
 
-@dataclass
-class HomogeneityReport:
-    pairwise: list  # symmetric matrix, diagonal 1.0
-    mean_similarity: float
-    first_marker_consistency: float
-    last_marker_consistency: float
-    distinct_ratio: float
-    entropy_bits: float
-
-
-@dataclass
-class FrequencyProfile:
-    counts: dict  # all 34 symbols -> count
-    total: int
-    common_set: frozenset
-    rare_set: frozenset
+# counts: all 34 symbols -> count
+class FrequencyProfile(namedtuple("FrequencyProfile",
+                                  "counts total common_set rare_set")):
+    __slots__ = ()
 
     @property
     def mean(self):

@@ -7,7 +7,7 @@ assigned a common/rare split (they match no gold symbol), so they affect
 the overall ("sum") accuracy and precision only.
 """
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import EmptyInput, LengthMismatch
@@ -22,40 +22,14 @@ DEFAULT_COMMON = frozenset({"K", "E", "F", "A"})
 ABSENT = None
 
 
-@dataclass(frozen=True)
-class GoldInstance:
-    symbol: str
-    split: str  # COMMON | RARE
-
-
-@dataclass
-class Prediction:
-    per_instance: list  # predicted symbol or ABSENT, one per gold instance
-    extras: int = 0
-
-
-@dataclass(frozen=True)
-class SplitMetrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-
-    def as_dict(self):
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class MetricSummary:
-    mean: float
-    std: float
-
-
-@dataclass
-class EvaluationReport:
-    common: dict  # metric name -> MetricSummary
-    rare: dict
-    sum: dict
+# split: COMMON | RARE
+GoldInstance = namedtuple("GoldInstance", "symbol split")
+# per_instance: predicted symbol or ABSENT, one per gold instance
+Prediction = namedtuple("Prediction", "per_instance extras", defaults=(0,))
+SplitMetrics = namedtuple("SplitMetrics", "accuracy precision recall f1")
+MetricSummary = namedtuple("MetricSummary", "mean std")
+# each split: metric name -> MetricSummary
+EvaluationReport = namedtuple("EvaluationReport", "common rare sum")
 
 
 def classify_split(symbol):
@@ -125,7 +99,7 @@ def aggregate(rounds):
     if not rounds or any(not r for r in rounds):
         raise EmptyInput("need at least one round with at least one prediction")
 
-    fields = ("accuracy", "precision", "recall", "f1")
+    fields = SplitMetrics._fields
     round_means = []
     for preds in rounds:
         split_means = []

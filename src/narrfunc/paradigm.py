@@ -13,7 +13,7 @@ A sequence is any list or tuple of symbols, indexed as given.
 """
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from statistics import median
 
@@ -32,36 +32,39 @@ NONLINEAR = "nonlinear"
 _CONNECTOR_TOKENS = {"->": LINEAR, "~>": NONLINEAR}
 
 
-@dataclass(frozen=True)
-class AltSet:
+class AltSet(namedtuple("AltSet", "options")):
     """Alternatives for one slot, e.g. ``{O/S}``."""
 
-    options: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.options) < 2:
+    def __new__(cls, options):
+        if len(options) < 2:
             raise ValueError("AltSet needs at least 2 options")
-        if len(set(self.options)) != len(self.options):
+        if len(set(options)) != len(options):
             raise ValueError("AltSet options must be distinct")
+        return super().__new__(cls, options)
 
     def __str__(self):
         return "{" + "/".join(self.options) + "}"
 
 
-@dataclass
-class ParadigmPattern:
-    elements: tuple  # symbols and AltSets, length >= 2
-    connectors: tuple  # LINEAR/NONLINEAR, length len(elements) - 1
-    plot_label: str = None
-    _accepts: tuple = field(init=False, repr=False, compare=False)  # symbol sets
+# elements: symbols and AltSets, length >= 2; connectors: LINEAR/NONLINEAR,
+# length len(elements) - 1
+class ParadigmPattern(namedtuple("ParadigmPattern", "elements connectors plot_label",
+                                 defaults=(None,))):
+    """An anchored pattern.  ``_accepts``, one accepted-symbol set per
+    element, is an attribute outside the tuple, so ``==`` and ``repr``
+    never see it."""
 
-    def __post_init__(self):
-        if len(self.elements) < 2:
+    def __new__(cls, elements, connectors, plot_label=None):
+        if len(elements) < 2:
             raise TooFewElements("pattern needs at least 2 elements")
-        if len(self.connectors) != len(self.elements) - 1:
+        if len(connectors) != len(elements) - 1:
             raise ValueError("connector count must be element count - 1")
+        self = super().__new__(cls, elements, connectors, plot_label)
         self._accepts = tuple(frozenset(e.options if isinstance(e, AltSet) else (e,))
-                              for e in self.elements)
+                              for e in elements)
+        return self
 
 
 def _emit_element(element):

@@ -7,7 +7,7 @@ plain strings; ``parse_symbol`` is the single gate that turns untrusted
 tokens into validated symbols.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import UnknownSymbol
 
@@ -23,20 +23,9 @@ GOAL = "goal"
 ROLE = "role"
 
 
-@dataclass(frozen=True)
-class FunctionDef:
-    symbol: str
-    name: str
-    description: str
-    status: str  # ORIGINAL | REVISED | NEW
-    division_hints: frozenset
-
-
-@dataclass(frozen=True)
-class LegacyFunctionDef:
-    symbol: str
-    name: str
-    description: str
+# status: ORIGINAL | REVISED | NEW; division_hints: a frozenset of criteria
+FunctionDef = namedtuple("FunctionDef", "symbol name description status division_hints")
+LegacyFunctionDef = namedtuple("LegacyFunctionDef", "symbol name description")
 
 
 def _d(symbol, name, description, status=ORIGINAL, hints=(GOAL,)):
@@ -176,11 +165,6 @@ def parse_symbol(token):
 
 def is_symbol(token):
     return token in _BY_SYMBOL
-
-
-def lookup(symbol):
-    """Return the :class:`FunctionDef` for a validated symbol."""
-    return _BY_SYMBOL[parse_symbol(symbol)]
 
 
 def all_functions():

@@ -82,7 +82,7 @@ def test_acceptance_3_metrics(passages):
         got = score_instances(g, pred)
         want = oracle_score(g, pred)
         for split, name in zip(got, ("common", "rare", "sum")):
-            ok &= split.as_dict() == pytest.approx(want[name].as_dict())
+            ok &= split._asdict() == pytest.approx(want[name]._asdict())
     _report(3, ok)
 
 

@@ -14,7 +14,6 @@ from narrfunc.annotation import (
     parse_inline,
     parse_sequence_string,
     sequence_of,
-    validate_coverage,
 )
 from narrfunc.errors import (
     DuplicateId,
@@ -281,30 +280,3 @@ class TestLoadCorpus:
                  "text": text}, ensure_ascii=False))
         segs = load_corpus(lines, strict=True)
         assert len(segs) == 1000
-        assert validate_coverage(segs).passed
-
-
-class TestValidateCoverage:
-    def _corpus(self, per_symbol=4):
-        segs = []
-        for r in range(per_symbol):
-            for s in taxonomy.SYMBOLS:
-                segs.append(AnnotatedSegment(
-                    f"{s}-{r}", "Fantasy", "文", [Annotation(1, s)]))
-        return segs
-
-    def test_full_coverage_passes(self):
-        report = validate_coverage(self._corpus())
-        assert report.passed and not report.failing
-
-    def test_missing_symbol_fails(self):
-        segs = [s for s in self._corpus() if s.annotations[0].symbol != "Fi"]
-        report = validate_coverage(segs)
-        assert not report.passed
-        assert report.counts["Fi"] == 0
-        assert report.failing == ["Fi"]
-
-    def test_empty_corpus(self):
-        report = validate_coverage([])
-        assert not report.passed
-        assert all(c == 0 for c in report.counts.values())

@@ -328,6 +328,17 @@ class TestEval:
         assert out == ""
         assert err == "error: malformed record on line 3: expected key=value\n"
 
+    def test_config_unknown_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "narr.cfg"
+        cfg.write_text("endpoint = http://cfg.test/v1\nmodle = demo\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--corpus", str(DATA / "recognition_corpus.jsonl"),
+            "--rounds", "1", "--preds", "1", "--config", str(cfg))
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err == ("error: malformed record on line 2: unknown key 'modle', "
+                       "expected one of endpoint, model\n")
+
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_timeout_exit_2_before_any_request(self, capsys, monkeypatch,
                                                    value):
@@ -366,6 +377,15 @@ class TestHomog:
 class TestEntryPoint:
     def test_console_script_installed(self):
         assert shutil.which("narrfunc") is not None
+
+    def test_import_leaves_out_dataclasses_and_inspect(self):
+        code = ("import sys, narrfunc.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=60)
+        assert result.stdout == "[]\n"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

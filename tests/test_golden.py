@@ -1,0 +1,183 @@
+"""Golden CLI reports: byte identity of every command as a standing test.
+
+Each case runs ``cli.main`` in process with the working directory in
+``tests/data`` and relative paths, because report headers key input
+digests by the path as given.  Files a case needs beyond ``tests/data``
+(a replay fixture, config files, broken inputs) are written to a
+temporary directory and named by absolute path; no report or message
+contains those paths.
+
+``tests/golden/<case>.out`` holds the expected stdout and
+``tests/golden/<case>.err`` the exit code (first line, ``exit: N``)
+followed by the expected stderr.  Regenerate all of them with::
+
+    PYTHONPATH=src python tests/test_golden.py
+
+A change that alters a golden byte names each changed file and the
+reason in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+import pytest
+
+from narrfunc import annotation, cli, harness
+
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+PLOTS = ("adventure", "battle", "daily_life", "difficult_task",
+         "emotional", "pretending")
+EPISODES = ("deepseek", "doubao", "qwen")
+CORPUS = "recognition_corpus.jsonl"
+REPLAY_ROUNDS, REPLAY_PREDS = 2, 2
+
+def _matrix():
+    """Case name -> argv; "{tmp}" names the directory of written files."""
+    cases = {
+        "registry": ["registry"],
+        "registry_legacy": ["registry", "--legacy"],
+        "stats_csv": ["stats", CORPUS, "--output-format", "csv"],
+        "eval_replay_fail_on_error": [
+            "eval", "--corpus", CORPUS, "--backend", "replay",
+            "--replay-path", "{tmp}/replay.jsonl", "--rounds", str(REPLAY_ROUNDS),
+            "--preds", str(REPLAY_PREDS), "--fail-on-error"],
+        # Input errors: exit 2 with one message and no report.
+        "error_empty_file": ["match", "{tmp}/empty.seq"],
+        "error_unknown_last_symbol": ["match", "{tmp}/unknown_last.seq"],
+        "error_bad_pattern": ["match", "plots_battle.seq", "--pattern", "(A)->"],
+        "error_bad_timeout": [
+            "eval", "--corpus", CORPUS, "--backend", "http",
+            "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--timeout=0"],
+        "error_config_without_equals": [
+            "eval", "--corpus", CORPUS, "--backend", "http",
+            "--config", "{tmp}/no_equals.cfg"],
+        "error_config_unknown_key": [
+            "eval", "--corpus", CORPUS, "--rounds", "1", "--preds", "1",
+            "--config", "{tmp}/unknown_key.cfg"],
+    }
+    runs = {
+        "parse_inline": ["parse", "passage1.txt"],
+        "parse_inline_strict": ["parse", "passage1.txt", "--strict"],
+        "parse_seq": ["parse", "plots_battle.seq", "--format", "seq"],
+        "parse_jsonl": ["parse", CORPUS, "--format", "jsonl"],
+        "stats": ["stats", CORPUS],
+        "stats_windows": ["stats", "annotator_a.jsonl", "--windows"],
+        "match_pattern": ["match", "plots_battle.seq", "--pattern", "(A)~>{S/O}"],
+        "eval_mock": ["eval", "--corpus", CORPUS],
+        "eval_replay": [
+            "eval", "--corpus", CORPUS, "--backend", "replay",
+            "--replay-path", "{tmp}/replay.jsonl", "--rounds",
+            str(REPLAY_ROUNDS), "--preds", str(REPLAY_PREDS)],
+    }
+    for plot in PLOTS:
+        runs[f"match_{plot}"] = ["match", f"plots_{plot}.seq"]
+        runs[f"mine_{plot}"] = ["mine", f"plots_{plot}.seq"]
+    for model in EPISODES:
+        for method in ("edit", "lcs"):
+            runs[f"homog_{method}_{model}"] = [
+                "homog", f"episodes_{model}.seq", "--method", method]
+    for name, argv in runs.items():
+        for fmt in ("json", "text"):
+            cases[f"{name}_{fmt}"] = [*argv, "--output-format", fmt]
+    return cases
+
+
+CASES = _matrix()
+
+def _replay_fixture():
+    """Replies for the replay cases, in one of three shapes by request
+    index: the gold sequence rotated, the gold markers plus one extra, or
+    prose with no symbols.  The last request has no reply (one miss)."""
+    with open(DATA / CORPUS, encoding="utf-8") as fh:
+        segments = annotation.load_corpus(fh)
+    cfg = harness.BackendConfig(kind="replay")
+    system = harness.DEFAULT_RECOGNITION_TEMPLATE.format(
+        functions=harness.functions_block())
+    lines = []
+    for r in range(REPLAY_ROUNDS):
+        for p in range(REPLAY_PREDS):
+            for seg in segments:
+                gold = annotation.sequence_of(seg)
+                k = len(lines)
+                reply = ("-".join(gold[k:] + gold[:k]),
+                         "".join(f"({s})" for s in gold + ["Q"]),
+                         "I cannot tell.")[k % 3]
+                tag = f"recognition:seed=0:round={r}:pred={p}:seg={seg.id}"
+                payload = harness.build_payload(cfg, system, seg.clean_text, tag)
+                lines.append(json.dumps({
+                    "request_digest": harness.request_digest(payload),
+                    "response_text": reply}, ensure_ascii=False))
+    return "\n".join(lines[:-1]) + "\n"
+
+
+def write_inputs(tmp):
+    """Write the files that cases name under ``{tmp}``."""
+    files = {
+        "replay.jsonl": _replay_fixture(),
+        "empty.seq": "",
+        "unknown_last.seq": "A-Q-S\nA-Q-Zz\n",
+        "no_equals.cfg": "# settings\nmodel = demo\nendpoint http://127.0.0.1:9/v1\n",
+        "unknown_key.cfg": "modle = demo\n",
+    }
+    for name, text in files.items():
+        pathlib.Path(tmp, name).write_text(text, encoding="utf-8")
+
+
+def run_case(name, tmp):
+    """(stdout, exit line + stderr) of one case as UTF-8 bytes, run in
+    process with the working directory in DATA."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = [a.replace("{tmp}", str(tmp)) for a in CASES[name]]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return (out.getvalue().encode("utf-8"),
+            f"exit: {code}\n{err.getvalue()}".encode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
+    write_inputs(tmp)
+    return tmp
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, inputs, monkeypatch):
+    monkeypatch.chdir(DATA)
+    for var in ("NARR_ENDPOINT", "NARR_MODEL"):
+        monkeypatch.delenv(var, raising=False)
+    out, err = run_case(name, inputs)
+    assert out == (GOLDEN / f"{name}.out").read_bytes()
+    assert err == (GOLDEN / f"{name}.err").read_bytes()
+
+
+def test_no_stale_golden_files():
+    expected = {f"{name}.{ext}" for name in CASES for ext in ("out", "err")}
+    assert {p.name for p in GOLDEN.iterdir()} == expected
+
+
+def regenerate():
+    for var in ("NARR_ENDPOINT", "NARR_MODEL"):
+        os.environ.pop(var, None)
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.iterdir():
+        stale.unlink()
+    os.chdir(DATA)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(tmp)
+        for name in sorted(CASES):
+            out, err = run_case(name, tmp)
+            (GOLDEN / f"{name}.out").write_bytes(out)
+            (GOLDEN / f"{name}.err").write_bytes(err)
+    print(f"wrote {2 * len(CASES)} files to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    regenerate()

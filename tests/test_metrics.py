@@ -142,9 +142,9 @@ class TestScoreInstances:
             pred = Prediction(per_instance, rng.randint(0, 3))
             common, rare, total = score_instances(gold, pred)
             expected = oracle_score(gold, pred)
-            assert common.as_dict() == pytest.approx(expected["common"].as_dict())
-            assert rare.as_dict() == pytest.approx(expected["rare"].as_dict())
-            assert total.as_dict() == pytest.approx(expected["sum"].as_dict())
+            assert common._asdict() == pytest.approx(expected["common"]._asdict())
+            assert rare._asdict() == pytest.approx(expected["rare"]._asdict())
+            assert total._asdict() == pytest.approx(expected["sum"]._asdict())
 
     def test_accuracy_never_exceeds_recall(self):
         rng = random.Random(99)

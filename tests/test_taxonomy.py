@@ -34,12 +34,13 @@ def test_parse_symbol():
 
 
 def test_lookup():
-    assert taxonomy.lookup("Fr").name == "Setting"
-    assert taxonomy.lookup("Fr").status == taxonomy.NEW
-    assert taxonomy.lookup("M").name == "1st donor"
-    assert taxonomy.lookup("M").status == taxonomy.REVISED
-    assert taxonomy.lookup("B").name == "Interdiction"
-    assert taxonomy.lookup("B").status == taxonomy.ORIGINAL
+    by_symbol = {d.symbol: d for d in taxonomy.all_functions()}
+    assert by_symbol["Fr"].name == "Setting"
+    assert by_symbol["Fr"].status == taxonomy.NEW
+    assert by_symbol["M"].name == "1st donor"
+    assert by_symbol["M"].status == taxonomy.REVISED
+    assert by_symbol["B"].name == "Interdiction"
+    assert by_symbol["B"].status == taxonomy.ORIGINAL
 
 
 def test_all_functions_order_stable():
@@ -51,7 +52,6 @@ def test_all_functions_order_stable():
 def test_round_trip_over_registry():
     for d in taxonomy.all_functions():
         assert taxonomy.parse_symbol(d.symbol) == d.symbol
-        assert taxonomy.lookup(d.symbol) is taxonomy.lookup(d.symbol)
 
 
 def test_legacy_entries():
