@@ -4,7 +4,8 @@ The annotation convention marks each narrative function with its symbol
 in brackets directly after the text realizing it, e.g. ``...寻找出路(K)。``.
 Both ASCII ``(K)`` and full-width ``（K）`` brackets occur in the wild
 (source texts freely mix the two, even within one marker), so parsing
-accepts any combination while emission normalizes to ASCII.
+accepts any combination while emission normalizes to ASCII.  A model
+reply is read for its bracketed registry symbols alone.
 
 Offsets are counted in Unicode code points of the *clean* text, i.e. the
 text with every recognized marker removed.
@@ -35,7 +36,12 @@ _GENRE_ALIASES = {
     "Time Travel": "TimeTravel",
 }
 
-_MARKER_RE = re.compile(r"[（(]([A-Za-z]{1,2})[)）]")
+# One bracket grammar: any short token, or a registry symbol (longest first).
+# The required closing bracket keeps (C) out of (Ch) and matches apart.
+_BRACKETED = r"[（(](%s)[)）]"
+_MARKER_RE = re.compile(_BRACKETED % "[A-Za-z]{1,2}")
+_SYMBOL_RE = re.compile(_BRACKETED % "|".join(
+    sorted(taxonomy.SYMBOLS, key=len, reverse=True)))
 # Each symbol onto itself: a lookup yields the registry's own string.
 _CANON = {s: s for s in taxonomy.SYMBOLS}
 
@@ -104,13 +110,13 @@ def parse_sequence_string(s):
 
 
 def extract_symbols(text):
-    """Function symbols in free-form model text.
+    """Registry-interned function symbols in free-form model text.
 
-    Inline markers win; with none present, the last nonempty line is
-    read as a hyphen sequence.  An unparsable line yields ``[]``.
+    Only bracketed registry symbols are markers, and they win; with none,
+    the last nonempty line is read as a hyphen sequence (``[]`` if bad).
     """
     text = text or ""
-    symbols = [a.symbol for a in parse_inline(text)[1]]
+    symbols = list(map(_CANON.__getitem__, _SYMBOL_RE.findall(text)))
     if symbols:
         return symbols
     for line in reversed(text.splitlines()):

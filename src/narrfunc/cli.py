@@ -113,7 +113,7 @@ def _emit_text(obj, out, indent=""):
 
 
 def _load_config_file(path, keys):
-    """``key=value`` lines; a key outside *keys* is a malformed record."""
+    """``key=value`` lines; a key outside *keys* or given twice is malformed."""
     settings = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -127,6 +127,8 @@ def _load_config_file(path, keys):
             if key not in keys:
                 raise MalformedRecord(
                     line_no, f"unknown key {key!r}, expected one of {', '.join(keys)}")
+            if key in settings:
+                raise MalformedRecord(line_no, f"key {key!r} given twice")
             settings[key] = value.strip()
     return settings
 

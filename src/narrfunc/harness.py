@@ -22,7 +22,6 @@ import json
 import math
 import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 
 from . import annotation, metrics, taxonomy
 from .annotation import emit_inline, sequence_of
@@ -85,16 +84,15 @@ class MockBackend:
     annotated episode."""
 
     def __init__(self, segments=None):
-        self._by_text = {}
-        for seg in segments or []:
-            self._by_text[seg.clean_text] = seg
+        # One echo per clean text, rendered once; a later segment wins.
+        self._echo = {seg.clean_text: emit_inline(seg) for seg in segments or []}
 
     def complete(self, payload):
         user = payload["messages"][1]["content"]
         tag = payload.get("tag", "")
-        segment = self._by_text.get(user)
-        if segment is not None and not tag.startswith("continuation:"):
-            return emit_inline(segment)
+        echo = self._echo.get(user)
+        if echo is not None and not tag.startswith("continuation:"):
+            return echo
         # Continuation request: deterministic synthetic episode following
         # the stock battle shape, varied by tag for distinct digests.
         return (
@@ -140,7 +138,7 @@ class HttpBackend:
 
     def __init__(self, cfg):
         if not cfg.endpoint or not cfg.model_name:
-            raise BackendUnreachable("http backend needs endpoint and model_name")
+            raise ValueError("http backend needs endpoint and model_name")
         if not 0 < cfg.timeout < math.inf:  # also rejects nan
             raise ValueError(f"timeout must be a positive finite number of "
                              f"seconds, not {cfg.timeout!r}")
@@ -175,7 +173,7 @@ def make_backend(cfg, segments=None):
         return MockBackend(segments)
     if cfg.kind == "replay":
         if not cfg.replay_path:
-            raise BackendUnreachable("replay backend needs replay_path")
+            raise ValueError("replay backend needs replay_path")
         return ReplayBackend(cfg.replay_path)
     if cfg.kind == "http":
         return HttpBackend(cfg)
@@ -212,6 +210,7 @@ def _collect(backend, payloads, max_parallel):
     if max_parallel < 1:
         raise ValueError("max_parallel must be >= 1")
     if max_parallel > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only when used
         with ThreadPoolExecutor(max_workers=max_parallel) as pool:
             return list(pool.map(call, payloads))
     return [call(p) for p in payloads]

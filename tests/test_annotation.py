@@ -174,12 +174,59 @@ class TestSequenceOf:
         assert sequence_of(seg) == []
 
 
+def _extract_via_parse_inline(text):
+    """Oracle: the full inline parse keeping only the symbols, then the
+    same hyphen-line fallback."""
+    text = text or ""
+    symbols = [a.symbol for a in parse_inline(text)[1]]
+    if symbols:
+        return symbols
+    for line in reversed(text.splitlines()):
+        if line.strip():
+            try:
+                return parse_sequence_string(line)
+            except UnknownSymbol:
+                return []
+    return []
+
+
+_OPEN, _CLOSE = ("(", "（"), (")", "）")
+_TOKENS = (*taxonomy.SYMBOLS, "ok", "xq", "注", "Ab", "Cx", "Zz", "h", "")
+_PIECES = ("(ok)", "（xq）", "(注)", "((K)", "(K))", "(C)", "(Ch)", "(Cx)",
+           "(Ab)", "(C(Ch)", "(Ch)(C)", "\n", "\n\n", "  \n", "文本。", "x ",
+           "(", ")", "（", "）", "-", "C", "h")
+_reply_text = st.lists(st.one_of(
+    st.sampled_from(_PIECES),
+    st.builds("".join, st.tuples(st.sampled_from(_OPEN), st.sampled_from(_TOKENS),
+                                 st.sampled_from(_CLOSE))),
+    st.lists(st.sampled_from((*taxonomy.SYMBOLS, "Qx", " Lo ")), min_size=1,
+             max_size=5).map(lambda ts: "\n" + "-".join(ts) + "\n"),
+    st.text(alphabet="()（）ACFLhox-注 \n", max_size=6),
+), max_size=12).map("".join)
+
+
 class TestExtractSymbols:
     def test_inline_markers_win(self):
         assert extract_symbols("found it (K)\nA-Q-S") == ["K"]
 
     def test_only_the_last_nonempty_line_is_read(self):
         assert extract_symbols("A-Q-S\nno structure here\n\n") == []
+
+    @pytest.mark.parametrize("text, expected", [
+        ("(C)(Ch)（Cx）(C）", ["C", "Ch", "C"]),
+        ("((K)(K))(ok)（xq）(注)(Ab)", ["K", "K"]),
+        ("(C h)(Chh)(ok)\nA-Q-S", ["A", "Q", "S"]),
+        (None, []),
+    ])
+    def test_only_bracketed_registry_symbols(self, text, expected):
+        assert extract_symbols(text) == expected
+
+    @given(_reply_text)
+    def test_equals_parse_inline_oracle(self, text):
+        symbols = extract_symbols(text)
+        assert symbols == _extract_via_parse_inline(text)
+        registry = {id(s) for s in taxonomy.SYMBOLS}
+        assert all(id(s) in registry for s in symbols)
 
 
 class TestParseSequenceString:

@@ -339,6 +339,34 @@ class TestEval:
         assert err == ("error: malformed record on line 2: unknown key 'modle', "
                        "expected one of endpoint, model\n")
 
+    def test_config_duplicate_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "narr.cfg"
+        cfg.write_text("model = a\nendpoint = http://cfg.test/v1\nmodel = b\n")
+        code, out, err = run_cli(
+            capsys, "eval", "--corpus", str(DATA / "recognition_corpus.jsonl"),
+            "--rounds", "1", "--preds", "1", "--config", str(cfg))
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert err == "error: malformed record on line 3: key 'model' given twice\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1"],
+         "http backend needs endpoint and model_name"),
+        (["--backend", "replay"], "replay backend needs replay_path"),
+    ])
+    def test_missing_backend_setting_exit_2(self, capsys, monkeypatch, argv,
+                                            message):
+        for var in ("NARR_ENDPOINT", "NARR_MODEL"):
+            monkeypatch.delenv(var, raising=False)
+        sent = []
+        monkeypatch.setattr("urllib.request.urlopen",
+                            lambda *a, **k: sent.append(a))
+        code, out, err = run_cli(
+            capsys, "eval", "--corpus", str(DATA / "recognition_corpus.jsonl"),
+            *argv)
+        assert (code, out, sent) == (cli.EXIT_INPUT, "", [])
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_timeout_exit_2_before_any_request(self, capsys, monkeypatch,
                                                    value):
@@ -386,6 +414,16 @@ class TestEntryPoint:
                                 capture_output=True, text=True, check=True,
                                 timeout=60)
         assert result.stdout == "[]\n"
+
+    def test_import_leaves_out_concurrent_futures(self):
+        # The thread pool is imported only by a run with --max-parallel > 1.
+        code = ("import sys, narrfunc.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=60)
+        assert result.stdout == "False\n"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -61,6 +61,9 @@ def _matrix():
         "error_config_unknown_key": [
             "eval", "--corpus", CORPUS, "--rounds", "1", "--preds", "1",
             "--config", "{tmp}/unknown_key.cfg"],
+        "error_config_duplicate_key": [
+            "eval", "--corpus", CORPUS, "--rounds", "1", "--preds", "1",
+            "--config", "{tmp}/duplicate_key.cfg"],
     }
     runs = {
         "parse_inline": ["parse", "passage1.txt"],
@@ -125,6 +128,7 @@ def write_inputs(tmp):
         "unknown_last.seq": "A-Q-S\nA-Q-Zz\n",
         "no_equals.cfg": "# settings\nmodel = demo\nendpoint http://127.0.0.1:9/v1\n",
         "unknown_key.cfg": "modle = demo\n",
+        "duplicate_key.cfg": "model = a\n# again\nmodel = b\n",
     }
     for name, text in files.items():
         pathlib.Path(tmp, name).write_text(text, encoding="utf-8")

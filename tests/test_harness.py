@@ -6,7 +6,14 @@ import time
 import pytest
 
 from narrfunc import harness
-from narrfunc.annotation import AnnotatedSegment, parse_inline, sequence_of
+from narrfunc.annotation import (
+    AnnotatedSegment,
+    Annotation,
+    emit_inline,
+    extract_symbols,
+    parse_inline,
+    sequence_of,
+)
 from narrfunc.errors import (
     BackendUnreachable,
     EmptyCorpus,
@@ -89,6 +96,34 @@ class TestMockRecognition:
         with pytest.raises(EmptyCorpus):
             run_recognition(BackendConfig(kind="mock"), [], rounds=2,
                             preds_per_round=2)
+
+
+class TestMockEchoTable:
+    @staticmethod
+    def _payload(user, tag):
+        return build_payload(BackendConfig(kind="mock"), "system", user, tag)
+
+    def test_each_segment_echoes_its_inline_text(self, segments):
+        backend = harness.MockBackend(segments)
+        for seg in segments:
+            reply = backend.complete(self._payload(seg.clean_text, "recognition:x"))
+            assert reply == emit_inline(seg)
+
+    def test_continuation_tag_gets_canned_episode(self, segments):
+        # run_continuation hands the preface over as a segment, so its text
+        # is in the table; the tag still selects the canned episode.
+        backend = harness.MockBackend(segments)
+        reply = backend.complete(self._payload(segments[0].clean_text,
+                                               "continuation:seed=0:episode=0"))
+        assert reply.startswith("[continuation:seed=0:episode=0] ")
+        assert extract_symbols(reply) == ["A", "Q", "S"]
+
+    def test_last_segment_with_a_shared_text_answers(self):
+        first = AnnotatedSegment("a", "Fantasy", "same text", [Annotation(4, "K")])
+        last = AnnotatedSegment("b", "Fantasy", "same text", [Annotation(9, "Lo")])
+        backend = harness.MockBackend([first, last])
+        assert backend.complete(self._payload("same text", "recognition:x")) == \
+            "same text(Lo)"
 
 
 class TestReplayRecognition:
@@ -244,8 +279,13 @@ class TestContinuation:
 
 class TestHttpConfig:
     def test_requires_endpoint_and_model(self):
-        with pytest.raises(BackendUnreachable):
+        # A missing setting is a config error, not an unreachable backend.
+        with pytest.raises(ValueError, match="endpoint and model_name"):
             make_backend(BackendConfig(kind="http"))
+
+    def test_replay_requires_path(self):
+        with pytest.raises(ValueError, match="replay_path"):
+            make_backend(BackendConfig(kind="replay"))
 
     def test_explicit_endpoint(self):
         backend = make_backend(BackendConfig(
