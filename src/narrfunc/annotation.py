@@ -38,7 +38,10 @@ _GENRE_ALIASES = {
 
 # One bracket grammar: any short token, or a registry symbol (longest first).
 # The required closing bracket keeps (C) out of (Ch) and matches apart.
-_BRACKETED = r"[（(](%s)[)）]"
+# It opens with a literal "(", which re finds by a fast literal search, and
+# runs over the text with each "（" read as "(": one code point for one, so
+# match positions and tokens stay as they are.
+_BRACKETED = r"\((%s)[)）]"
 _MARKER_RE = re.compile(_BRACKETED % "[A-Za-z]{1,2}")
 _SYMBOL_RE = re.compile(_BRACKETED % "|".join(
     sorted(taxonomy.SYMBOLS, key=len, reverse=True)))
@@ -63,7 +66,7 @@ def parse_inline(text, strict=False):
     annotations = []
     pos = 0
     offset = 0  # length of the clean text so far
-    for m in _MARKER_RE.finditer(text):
+    for m in _MARKER_RE.finditer(text.replace("（", "(")):
         token = m.group(1)
         if taxonomy.is_symbol(token):
             clean.append(text[pos:m.start()])
@@ -116,7 +119,7 @@ def extract_symbols(text):
     the last nonempty line is read as a hyphen sequence (``[]`` if bad).
     """
     text = text or ""
-    symbols = list(map(_CANON.__getitem__, _SYMBOL_RE.findall(text)))
+    symbols = list(map(_CANON.__getitem__, _SYMBOL_RE.findall(text.replace("（", "("))))
     if symbols:
         return symbols
     for line in reversed(text.splitlines()):

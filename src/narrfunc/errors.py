@@ -82,6 +82,10 @@ class BackendUnreachable(NarrfuncError):
     pass
 
 
+class MalformedReply(NarrfuncError):
+    """A backend reply holds no reply text."""
+
+
 class ReplayMiss(NarrfuncError):
     def __init__(self, digest):
         self.digest = digest

@@ -25,7 +25,8 @@ from collections import namedtuple
 
 from . import annotation, metrics, taxonomy
 from .annotation import emit_inline, sequence_of
-from .errors import BackendUnreachable, EmptyCorpus, MalformedRecord, ReplayMiss
+from .errors import (
+    BackendUnreachable, EmptyCorpus, MalformedRecord, MalformedReply, ReplayMiss)
 
 ENV_API_KEY = "NARR_API_KEY"
 
@@ -114,8 +115,10 @@ class ReplayBackend:
                         continue
                     try:
                         record = json.loads(line)
-                        self._responses[record["request_digest"]] = \
-                            record["response_text"]
+                        text = record["response_text"]
+                        if not isinstance(text, (str, type(None))):
+                            raise TypeError(f"response_text is {type(text).__name__}")
+                        self._responses[record["request_digest"]] = text
                     except (KeyError, TypeError, ValueError) as exc:
                         raise MalformedRecord(
                             line_no, "not a JSON object with request_digest and "
@@ -133,8 +136,8 @@ class ReplayBackend:
 
 class HttpBackend:
     """Single-POST OpenAI-style chat backend: the reply text is
-    ``choices[0].message.content``, and a reply without it fails the
-    request."""
+    ``choices[0].message.content``, and a reply without a string there
+    fails the request with :class:`MalformedReply`."""
 
     def __init__(self, cfg):
         if not cfg.endpoint or not cfg.model_name:
@@ -165,7 +168,13 @@ class HttpBackend:
             if isinstance(exc, urllib.error.HTTPError):
                 exc.close()  # an error status still holds its response open
             raise BackendUnreachable(str(exc)) from exc
-        return json.loads(raw)["choices"][0]["message"]["content"]
+        try:
+            content = json.loads(raw)["choices"][0]["message"]["content"]
+        except (LookupError, TypeError, ValueError) as exc:
+            raise MalformedReply(f"no choices[0].message.content: {exc!r}") from exc
+        if not isinstance(content, str):
+            raise MalformedReply(f"content is {type(content).__name__}, not a string")
+        return content
 
 
 def make_backend(cfg, segments=None):
@@ -223,33 +232,33 @@ def run_recognition(cfg, segments, rounds=10, preds_per_round=5, seed=0):
         raise EmptyCorpus("recognition over an empty corpus")
     backend = make_backend(cfg, segments)
     system = DEFAULT_RECOGNITION_TEMPLATE.format(functions=functions_block())
-    gold = metrics.gold_instances([s for seg in segments for s in sequence_of(seg)])
-    tasks = []  # (round, pred, segment, payload)
+    golds = [metrics.gold_splits(metrics.gold_instances(sequence_of(seg)))
+             for seg in segments]  # prepared once per run
+    tasks = []  # (round, pred, segment, its gold, payload)
     for r in range(rounds):
         for p in range(preds_per_round):
-            for seg in segments:
+            for seg, gold in zip(segments, golds):
                 tag = f"recognition:seed={seed}:round={r}:pred={p}:seg={seg.id}"
-                tasks.append((r, p, seg, build_payload(
+                tasks.append((r, p, seg, gold, build_payload(
                     cfg, system, seg.clean_text, tag)))
 
-    results = _collect(backend, [t[3] for t in tasks], cfg.max_parallel)
+    results = _collect(backend, [t[4] for t in tasks], cfg.max_parallel)
 
     errors = []
-    parts = []
-    for (r, p, seg, payload), (text, exc) in zip(tasks, results):
+    tallies = []  # one per reply, against its own segment's gold
+    for (r, p, seg, gold, _), (text, exc) in zip(tasks, results):
         if exc is not None:
             errors.append(_error_entry(exc, round=r, prediction=p,
                                        segment=seg.id))
-        parts.append(parse_model_output(text, len(seg.annotations)))
+        tallies.append(metrics.tally(
+            gold, parse_model_output(text, len(seg.annotations))))
 
     def scored(k):
         """Score the k-th (round, prediction): tasks run in that order, so
-        its segment results are one consecutive block, merged in segment
-        order to mirror the concatenated gold instance list."""
-        block = parts[k * len(segments):(k + 1) * len(segments)]
-        return metrics.score_instances(gold, metrics.Prediction(
-            [sym for part in block for sym in part.per_instance],
-            sum(part.extras for part in block)))
+        its replies are one consecutive block, and their summed tallies
+        are those of the concatenated segments."""
+        block = tallies[k * len(segments):(k + 1) * len(segments)]
+        return metrics.split_scores([sum(column) for column in zip(*block)])
 
     report = metrics.aggregate(
         [[scored(r * preds_per_round + p) for p in range(preds_per_round)]

@@ -5,10 +5,15 @@ instance is one marker position, predictions are aligned to instances by
 order, and spurious predicted markers count as extras.  Extras cannot be
 assigned a common/rare split (they match no gold symbol), so they affect
 the overall ("sum") accuracy and precision only.
+
+Scores are ratios of int tallies, which add up over segments: a run tallies
+each reply against its own segment's gold, as if scoring the concatenation.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import compress
+from operator import eq
 
 from .errors import EmptyInput, LengthMismatch
 
@@ -58,33 +63,45 @@ def _split_metrics(matched, n_gold, n_predicted, extras):
     )
 
 
-def score_instances(gold, pred):
-    """Score one prediction against gold instances.
+def gold_splits(gold):
+    """Gold instances prepared for :func:`tally`: per split (common, then
+    rare), its symbols and the mask of its positions."""
+    common = [g.split == COMMON for g in gold]
+    symbols = [g.symbol for g in gold]
+    return [(list(compress(symbols, mask)), mask)
+            for mask in (common, [not c for c in common])]
 
-    Returns ``(common, rare, sum)`` :class:`SplitMetrics`.  The sum split
-    covers all instances and absorbs the extras; per-split accuracy and
-    precision see no extras because an unmatched prediction has no split.
-    """
+
+def tally(splits, pred):
+    """Int tallies of one prediction against :func:`gold_splits`:
+    ``(matched, gold, predicted)`` per split, then the extras."""
+    out = []
+    for symbols, mask in splits:
+        aligned = list(compress(pred.per_instance, mask))
+        out += (sum(map(eq, symbols, aligned)), len(symbols),
+                len(aligned) - aligned.count(ABSENT))
+    return (*out, pred.extras)
+
+
+def split_scores(tallies):
+    """``(common, rare, sum)`` :class:`SplitMetrics` of (summed) tallies; only
+    the sum sees extras, because an unmatched prediction has no split."""
+    c_matched, c_gold, c_pred, r_matched, r_gold, r_pred, extras = tallies
+    return (_split_metrics(c_matched, c_gold, c_pred, 0),
+            _split_metrics(r_matched, r_gold, r_pred, 0),
+            _split_metrics(c_matched + r_matched, c_gold + r_gold,
+                           c_pred + r_pred, extras))
+
+
+def score_instances(gold, pred):
+    """Score one prediction against gold instances: ``(common, rare,
+    sum)`` :class:`SplitMetrics`."""
     if len(pred.per_instance) != len(gold):
         raise LengthMismatch(
             f"{len(pred.per_instance)} predictions for {len(gold)} instances")
     if pred.extras < 0:
         raise ValueError("extras must be >= 0")
-    tallies = {COMMON: [0, 0, 0], RARE: [0, 0, 0]}  # matched, gold, predicted
-    for instance, predicted in zip(gold, pred.per_instance):
-        t = tallies[instance.split]
-        t[1] += 1
-        if predicted is not ABSENT:
-            t[2] += 1
-            if predicted == instance.symbol:
-                t[0] += 1
-    c_matched, c_gold, c_pred = tallies[COMMON]
-    r_matched, r_gold, r_pred = tallies[RARE]
-    common = _split_metrics(c_matched, c_gold, c_pred, 0)
-    rare = _split_metrics(r_matched, r_gold, r_pred, 0)
-    total = _split_metrics(c_matched + r_matched, c_gold + r_gold,
-                           c_pred + r_pred, pred.extras)
-    return common, rare, total
+    return split_scores(tally(gold_splits(gold), pred))
 
 
 def _population_std(values):
@@ -99,32 +116,14 @@ def aggregate(rounds):
     if not rounds or any(not r for r in rounds):
         raise EmptyInput("need at least one round with at least one prediction")
 
-    fields = SplitMetrics._fields
-    round_means = []
-    for preds in rounds:
-        split_means = []
-        for split_idx in range(3):
-            values = {
-                f: _mean([getattr(triple[split_idx], f) for triple in preds])
-                for f in fields
-            }
-            split_means.append(SplitMetrics(**values))
-        round_means.append(tuple(split_means))
-
-    def summarize(split_idx):
-        return {
-            f: MetricSummary(
-                mean=_mean([getattr(r[split_idx], f) for r in round_means]),
-                std=_population_std([getattr(r[split_idx], f) for r in round_means]),
-            )
-            for f in fields
-        }
-
-    return EvaluationReport(
-        common=summarize(0),
-        rare=summarize(1),
-        sum=summarize(2),
-    )
+    # zip(*...) turns predictions (or rounds) of splits into splits of
+    # them, and a split's metrics into one tuple per field.
+    round_means = [[SplitMetrics(*map(_mean, zip(*split))) for split in zip(*preds)]
+                   for preds in rounds]
+    return EvaluationReport(*(
+        {f: MetricSummary(_mean(v), _population_std(v))
+         for f, v in zip(SplitMetrics._fields, zip(*split))}
+        for split in zip(*round_means)))
 
 
 def _mean(values):

@@ -56,6 +56,17 @@ class TestParseInline:
         with pytest.raises(ParenthesizedUnknownToken):
             parse_inline("text (Zz) more", strict=True)
 
+    def test_fullwidth_aside_kept_and_strict_offset(self):
+        # A full-width aside stays full-width in the clean text, and strict
+        # mode reports it at the same clean-text offset as its ASCII twin.
+        text = "前（K）说（xq）后(A)"
+        assert parse_inline(text) == ("前说（xq）后", [Annotation(1, "K"),
+                                                     Annotation(7, "A")])
+        for aside in ("（xq）", "(xq)", "（xq)"):
+            with pytest.raises(ParenthesizedUnknownToken) as exc_info:
+                parse_inline(text.replace("（xq）", aside), strict=True)
+            assert (exc_info.value.offset, exc_info.value.token) == (2, "xq")
+
     def test_strict_ignores_long_parentheticals(self):
         clean, anns = parse_inline("text (really) more", strict=True)
         assert anns == []
@@ -227,6 +238,11 @@ class TestExtractSymbols:
         assert symbols == _extract_via_parse_inline(text)
         registry = {id(s) for s in taxonomy.SYMBOLS}
         assert all(id(s) in registry for s in symbols)
+        # Both bracket kinds are one grammar: the all-full-width text reads
+        # the same symbols.
+        full_width = text.replace("(", "（").replace(")", "）")
+        assert extract_symbols(full_width) == symbols
+        assert _extract_via_parse_inline(full_width) == symbols
 
 
 class TestParseSequenceString:

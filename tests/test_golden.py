@@ -78,6 +78,10 @@ def _matrix():
             "eval", "--corpus", CORPUS, "--backend", "replay",
             "--replay-path", "{tmp}/replay.jsonl", "--rounds",
             str(REPLAY_ROUNDS), "--preds", str(REPLAY_PREDS)],
+        "eval_replay_mixed": [
+            "eval", "--corpus", CORPUS, "--backend", "replay",
+            "--replay-path", "{tmp}/replay_mixed.jsonl", "--rounds",
+            str(REPLAY_ROUNDS), "--preds", str(REPLAY_PREDS)],
     }
     for plot in PLOTS:
         runs[f"match_{plot}"] = ["match", f"plots_{plot}.seq"]
@@ -120,10 +124,50 @@ def _replay_fixture():
     return "\n".join(lines[:-1]) + "\n"
 
 
+# Bracket spellings for the mixed-bracket replies: both kinds, and both
+# kinds within one marker.
+_MIXED = (("（", "）"), ("(", "）"), ("（", ")"), ("(", ")"))
+
+
+def _mixed_fixture():
+    """Replies for the mixed-bracket replay cases, in one of five shapes by
+    request index, each on the gold sequence rotated by that index: all
+    full-width markers; mixed-bracket markers between ``(ok)``/``（xq）``
+    asides; the markers plus two extras; the first half of the markers
+    only; asides with no marker over a hyphen line.  Every request has a
+    reply."""
+    with open(DATA / CORPUS, encoding="utf-8") as fh:
+        segments = annotation.load_corpus(fh)
+    cfg = harness.BackendConfig(kind="replay")
+    system = harness.DEFAULT_RECOGNITION_TEMPLATE.format(
+        functions=harness.functions_block())
+    lines = []
+    for r in range(REPLAY_ROUNDS):
+        for p in range(REPLAY_PREDS):
+            for seg in segments:
+                gold = annotation.sequence_of(seg)
+                k = len(lines)
+                rotated = gold[k:] + gold[:k]
+                mixed = ["文本{}{}{}".format(_MIXED[i % 4][0], s, _MIXED[i % 4][1])
+                         for i, s in enumerate(rotated)]
+                reply = ("".join(f"句（{s}）" for s in rotated),
+                         "(ok)".join(mixed) + "（xq）",
+                         "".join(mixed) + "（Fr）(Lo)",
+                         "".join(mixed[:len(mixed) // 2]),
+                         "(ok)（xq）(注)\n" + "-".join(rotated))[k % 5]
+                tag = f"recognition:seed=0:round={r}:pred={p}:seg={seg.id}"
+                payload = harness.build_payload(cfg, system, seg.clean_text, tag)
+                lines.append(json.dumps({
+                    "request_digest": harness.request_digest(payload),
+                    "response_text": reply}, ensure_ascii=False))
+    return "\n".join(lines) + "\n"
+
+
 def write_inputs(tmp):
     """Write the files that cases name under ``{tmp}``."""
     files = {
         "replay.jsonl": _replay_fixture(),
+        "replay_mixed.jsonl": _mixed_fixture(),
         "empty.seq": "",
         "unknown_last.seq": "A-Q-S\nA-Q-Zz\n",
         "no_equals.cfg": "# settings\nmodel = demo\nendpoint http://127.0.0.1:9/v1\n",

@@ -2,10 +2,12 @@ import http.server
 import json
 import threading
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
-from narrfunc import harness
+from narrfunc import harness, metrics
 from narrfunc.annotation import (
     AnnotatedSegment,
     Annotation,
@@ -33,6 +35,7 @@ from narrfunc.harness import (
 )
 
 from conftest import DATA
+from test_metrics import SMALL_ALPHABET, loop_aggregate, loop_score
 
 
 @pytest.fixture
@@ -203,7 +206,8 @@ class TestReplayRecognition:
         ('{"request_digest": "d1"}', "response_text"),
         ('"d1"', None),
         ('{"request_digest": {"d": 1}, "response_text": "x"}', None),
-        ('{"request_digest": "d1", ', "JSONDecodeError")])
+        ('{"request_digest": "d1", ', "JSONDecodeError"),
+        ('{"request_digest": "d1", "response_text": 5}', "response_text is int")])
     def test_malformed_fixture_line(self, tmp_path, line, mentioned):
         path = tmp_path / "replay.jsonl"
         path.write_text('{"request_digest": "d0", "response_text": "A"}\n'
@@ -300,12 +304,21 @@ class TestHttpConfig:
                                       model_name="m", timeout=timeout))
 
 
+# Reply bodies of the loopback server's malformed-reply paths.
+_RAW_REPLIES = {
+    "/malformed": b'{"choices": [{"message": ',
+    "/nochoices": b'{"error": "x"}',
+    "/content-int": b'{"choices": [{"message": {"content": 123}}]}',
+    "/content-parts": b'{"choices": [{"message": {"content": ["(A)"]}}]}',
+    "/content-null": b'{"choices": [{"message": {"content": null}}]}',
+}
+
+
 class _ChatServer(http.server.ThreadingHTTPServer):
     """Loopback chat endpoint.  ``/status500`` fails, ``/slow`` stalls for
-    ``slow_s``, ``/malformed`` returns broken JSON, ``/nochoices`` returns
-    a JSON object without ``choices``; any other path answers from
-    ``answers`` (user text -> (delay, reply)), echoing the user text by
-    default."""
+    ``slow_s``, the paths of ``_RAW_REPLIES`` return their body; any other
+    path answers from ``answers`` (user text -> (delay, reply)), echoing
+    the user text by default."""
 
     slow_s = 1.0
 
@@ -322,10 +335,8 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
             return
         if self.path == "/slow":
             time.sleep(self.server.slow_s)
-        if self.path == "/malformed":
-            reply = b'{"choices": [{"message": '
-        elif self.path == "/nochoices":
-            reply = b'{"error": "x"}'
+        if self.path in _RAW_REPLIES:
+            reply = _RAW_REPLIES[self.path]
         else:
             user = json.loads(raw)["messages"][1]["content"]
             delay, text = self.server.answers.get(user, (0, user))
@@ -392,13 +403,26 @@ class TestHttpBackend:
     def test_malformed_json_lands_in_ledger(self, chat_server, segments):
         result = self._recognize(chat_server, "/malformed", segments)
         assert len(result.errors) == result.requests == 4
-        assert all(e["error"] == "JSONDecodeError" for e in result.errors)
+        assert all(e["error"] == "MalformedReply" for e in result.errors)
 
     def test_reply_without_choices_lands_in_ledger(self, chat_server, segments):
         result = self._recognize(chat_server, "/nochoices", segments)
         assert result.requests == 1 * 2 * len(segments)
         assert len(result.errors) == result.requests
-        assert all(e["error"] == "KeyError" for e in result.errors)
+        assert all(e["error"] == "MalformedReply" for e in result.errors)
+
+    @pytest.mark.parametrize("path", ["/content-int", "/content-parts",
+                                      "/content-null"])
+    def test_non_string_content_lands_in_ledger(self, chat_server, segments,
+                                                path):
+        # Only a string reaches symbol extraction; 123, a content-parts list
+        # and null each fail their request instead of the run.
+        result = self._recognize(chat_server, path, segments)
+        assert len(result.errors) == result.requests == 4
+        assert all(e["error"] == "MalformedReply" for e in result.errors)
+        assert all(e["detail"].startswith("content is ") for e in result.errors)
+        for summary in result.report.sum.values():
+            assert summary.mean == 0.0
 
     def test_parallel_results_keep_task_order(self, chat_server, segments):
         # The first segment answers slowly, so replies complete out of
@@ -412,3 +436,73 @@ class TestHttpBackend:
         assert result.errors == []
         for summary in result.report.sum.values():
             assert summary.mean == 1.0
+
+
+# Differential test of recognition scoring: each reply tallied against its
+# own segment's gold, against the concatenated per-instance loop.
+
+_marker = st.builds("{}{}{}".format, st.sampled_from("(（"),
+                    st.sampled_from(SMALL_ALPHABET), st.sampled_from(")）"))
+_inline_reply = st.lists(
+    st.one_of(_marker, st.sampled_from(("(ok)", "（xq）", "文本。"))),
+    max_size=12).map("".join)
+_hyphen_reply = st.lists(st.sampled_from(SMALL_ALPHABET), min_size=1,
+                         max_size=10).map(lambda s: "(ok)（xq）\n" + "-".join(s))
+# None fails the request; "" and prose score all absent; inline replies
+# come short, exact or with extras.
+_reply = st.one_of(st.none(), st.sampled_from(("", "no idea")),
+                   _inline_reply, _hyphen_reply)
+
+
+@st.composite
+def recognition_runs(draw):
+    golds = draw(st.lists(st.lists(st.sampled_from(SMALL_ALPHABET), max_size=8),
+                          min_size=1, max_size=4))
+    segs = [AnnotatedSegment(f"s{i}", "Fantasy", f"text {i}",
+                             [Annotation(k, sym) for k, sym in enumerate(gold)])
+            for i, gold in enumerate(golds)]
+    rounds, preds = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    replies = draw(st.lists(_reply, min_size=rounds * preds * len(segs),
+                            max_size=rounds * preds * len(segs)))
+    return segs, rounds, preds, replies
+
+
+class _Scripted:
+    """Answers requests in order from a list; a ``None`` reply fails."""
+
+    def __init__(self, replies):
+        self._replies = iter(replies)
+
+    def complete(self, payload):
+        reply = next(self._replies)
+        if reply is None:
+            raise ReplayMiss(payload["tag"])
+        return reply
+
+
+def oracle_report(segs, rounds, preds, replies):
+    """Each (round, prediction) scored as one concatenation of its replies'
+    aligned predictions against the concatenated gold, by the loops."""
+    gold = metrics.gold_instances([s for seg in segs for s in sequence_of(seg)])
+    parts = iter(parse_model_output(text, len(seg.annotations))
+                 for text, seg in zip(replies, segs * (rounds * preds)))
+    scores = []
+    for _ in range(rounds):
+        scores.append([])
+        for _ in range(preds):
+            block = [next(parts) for _ in segs]
+            scores[-1].append(loop_score(gold, metrics.Prediction(
+                [sym for part in block for sym in part.per_instance],
+                sum(part.extras for part in block))))
+    return loop_aggregate(scores)
+
+
+@given(recognition_runs())
+def test_recognition_report_equals_concatenated_loop_oracle(run):
+    segs, rounds, preds, replies = run
+    with mock.patch.object(harness, "make_backend",
+                           lambda cfg, segments: _Scripted(replies)):
+        result = run_recognition(BackendConfig(kind="mock"), segs,
+                                 rounds=rounds, preds_per_round=preds)
+    assert result.report == oracle_report(segs, rounds, preds, replies)
+    assert len(result.errors) == replies.count(None)

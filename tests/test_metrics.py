@@ -43,6 +43,50 @@ def oracle_score(gold, pred):
     return out
 
 
+def loop_score(gold, pred):
+    """Reference scoring: one pass over the instances, tallying
+    ``(matched, gold, predicted)`` per split, then the library's own
+    ratios, so its floats are the ones :func:`score_instances` must give."""
+    tallies = {"common": [0, 0, 0], "rare": [0, 0, 0]}
+    for instance, predicted in zip(gold, pred.per_instance):
+        t = tallies[instance.split]
+        t[1] += 1
+        if predicted is not ABSENT:
+            t[2] += 1
+            if predicted == instance.symbol:
+                t[0] += 1
+    c_matched, c_gold, c_pred = tallies["common"]
+    r_matched, r_gold, r_pred = tallies["rare"]
+    return (metrics._split_metrics(c_matched, c_gold, c_pred, 0),
+            metrics._split_metrics(r_matched, r_gold, r_pred, 0),
+            metrics._split_metrics(c_matched + r_matched, c_gold + r_gold,
+                                   c_pred + r_pred, pred.extras))
+
+
+def loop_aggregate(rounds):
+    """Reference aggregation: per round and split, the mean of each field
+    over the predictions; then per split and field, the mean and
+    population std over the round means."""
+    fields = SplitMetrics._fields
+
+    def mean(values):
+        return sum(values) / len(values)
+
+    def std(values):
+        m = mean(values)
+        return (sum((v - m) ** 2 for v in values) / len(values)) ** 0.5
+
+    round_means = [
+        [SplitMetrics(**{f: mean([getattr(t[i], f) for t in preds])
+                         for f in fields}) for i in range(3)]
+        for preds in rounds]
+    return metrics.EvaluationReport(*(
+        {f: metrics.MetricSummary(mean([getattr(r[i], f) for r in round_means]),
+                                  std([getattr(r[i], f) for r in round_means]))
+         for f in fields}
+        for i in range(3)))
+
+
 def exact_split_metrics(matched, n_gold, n_predicted, extras):
     """Reference scoring in exact rationals: each ratio a Fraction (0 on a
     zero denominator), F1 = 2PR/(P+R), converted to float last."""
@@ -169,6 +213,49 @@ class TestScoreInstances:
         gold_p = gold_instances([symbols[i] for i in order])
         pred_p = Prediction([pred_syms[i] for i in order], 1)
         assert score_instances(gold_p, pred_p) == base
+
+
+# Gold and predictions over a small alphabet of common (A, K, E) and rare
+# (Q, Ch, C) symbols, so that matches are frequent.
+SMALL_ALPHABET = ("A", "K", "E", "Q", "Ch", "C")
+
+
+@st.composite
+def scored_predictions(draw):
+    symbols = draw(st.lists(st.sampled_from(SMALL_ALPHABET), max_size=12))
+    per_instance = draw(st.lists(st.one_of(st.none(), st.sampled_from(SMALL_ALPHABET)),
+                                 min_size=len(symbols), max_size=len(symbols)))
+    return gold_instances(symbols), Prediction(per_instance, draw(st.integers(0, 4)))
+
+
+@given(scored_predictions())
+@example((gold_instances([]), Prediction([], 0)))
+@example((gold_instances([]), Prediction([], 3)))
+@example((gold_instances(["K", "Q"]), Prediction([None, None], 0)))
+def test_score_instances_equals_loop_oracle(case):
+    gold, pred = case
+    assert score_instances(gold, pred) == loop_score(gold, pred)
+
+
+@given(st.lists(scored_predictions(), min_size=1, max_size=4))
+def test_tallies_of_parts_add_up_to_the_whole(parts):
+    whole_gold = [g for gold, _ in parts for g in gold]
+    whole_pred = Prediction([p for _, pred in parts for p in pred.per_instance],
+                            sum(pred.extras for _, pred in parts))
+    summed = [sum(column) for column in zip(*(
+        metrics.tally(metrics.gold_splits(gold), pred) for gold, pred in parts))]
+    assert summed == list(metrics.tally(metrics.gold_splits(whole_gold), whole_pred))
+    assert metrics.split_scores(summed) == loop_score(whole_gold, whole_pred)
+
+
+_unit = st.floats(0, 1)
+_triples = st.builds(lambda *v: tuple(SplitMetrics(*v[i:i + 4]) for i in (0, 4, 8)),
+                     *[_unit] * 12)
+
+
+@given(st.lists(st.lists(_triples, min_size=1, max_size=4), min_size=1, max_size=4))
+def test_aggregate_equals_loop_oracle(rounds):
+    assert aggregate(rounds) == loop_aggregate(rounds)
 
 
 class TestAggregate:
