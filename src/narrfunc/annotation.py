@@ -10,8 +10,8 @@ reply is read for its bracketed registry symbols alone.
 Offsets are counted in Unicode code points of the *clean* text, i.e. the
 text with every recognized marker removed.
 
-A function sequence is a plain ``list`` of symbols, each one the
-registry's own string object: no sequence owns a string per token.
+A function sequence is a plain ``list`` of symbols.  Every path stores
+the registry's own string objects: no sequence owns a string per token.
 """
 
 import json
@@ -45,8 +45,6 @@ _BRACKETED = r"\((%s)[)）]"
 _MARKER_RE = re.compile(_BRACKETED % "[A-Za-z]{1,2}")
 _SYMBOL_RE = re.compile(_BRACKETED % "|".join(
     sorted(taxonomy.SYMBOLS, key=len, reverse=True)))
-# Each symbol onto itself: a lookup yields the registry's own string.
-_CANON = {s: s for s in taxonomy.SYMBOLS}
 
 
 # offset: code-point index into the clean text
@@ -68,10 +66,11 @@ def parse_inline(text, strict=False):
     offset = 0  # length of the clean text so far
     for m in _MARKER_RE.finditer(text.replace("（", "(")):
         token = m.group(1)
-        if taxonomy.is_symbol(token):
+        symbol = taxonomy.CANONICAL.get(token)
+        if symbol is not None:
             clean.append(text[pos:m.start()])
             offset += m.start() - pos
-            annotations.append(Annotation(offset, token))
+            annotations.append(Annotation(offset, symbol))
             pos = m.end()
         elif strict:
             raise ParenthesizedUnknownToken(offset + (m.start() - pos), token)
@@ -103,13 +102,13 @@ def parse_sequence_string(s):
     if not s.strip():
         return []
     try:
-        return list(map(_CANON.__getitem__, s.split("-")))
+        return list(map(taxonomy.CANONICAL.__getitem__, s.split("-")))
     except KeyError:  # slow path: strip padding, report the first unknown token
         tokens = [raw.strip() for raw in s.split("-")]
     for i, token in enumerate(tokens):
-        if token not in _CANON:
+        if token not in taxonomy.CANONICAL:
             raise UnknownSymbol(token, position=i)
-    return list(map(_CANON.__getitem__, tokens))
+    return list(map(taxonomy.CANONICAL.__getitem__, tokens))
 
 
 def extract_symbols(text):
@@ -119,7 +118,8 @@ def extract_symbols(text):
     the last nonempty line is read as a hyphen sequence (``[]`` if bad).
     """
     text = text or ""
-    symbols = list(map(_CANON.__getitem__, _SYMBOL_RE.findall(text.replace("（", "("))))
+    symbols = list(map(taxonomy.CANONICAL.__getitem__,
+                       _SYMBOL_RE.findall(text.replace("（", "("))))
     if symbols:
         return symbols
     for line in reversed(text.splitlines()):
@@ -133,9 +133,16 @@ def extract_symbols(text):
 
 def load_sequences(lines):
     """Read one hyphen sequence per line into a list of symbol lists; blank
-    lines and # comments are skipped."""
-    stripped = (line.strip() for line in lines)
-    return [parse_sequence_string(s) for s in stripped if s and not s.startswith("#")]
+    lines and # comments are skipped, and an unknown symbol names its line."""
+    seqs = []
+    for line_no, line in enumerate(lines, start=1):
+        s = line.strip()
+        if s and not s.startswith("#"):
+            try:
+                seqs.append(parse_sequence_string(s))
+            except UnknownSymbol as exc:
+                raise MalformedRecord(line_no, str(exc)) from exc
+    return seqs
 
 
 def _normalize_genre(raw):
@@ -191,7 +198,8 @@ def load_corpus(lines, strict=False):
             raise MalformedRecord(line_no, "record is not an object")
         try:
             segment = segment_from_record(record, strict=strict)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, InvalidGenre, UnknownSymbol,
+                ParenthesizedUnknownToken) as exc:
             raise MalformedRecord(line_no, str(exc)) from exc
         if segment.id in seen:
             raise DuplicateId(f"duplicate segment id {segment.id!r} "

@@ -47,7 +47,7 @@ def _header(command, settings, inputs):
     }
 
 
-_JSON = dict(sort_keys=True, ensure_ascii=False, indent=2, default=str)
+_JSON = dict(sort_keys=True, ensure_ascii=False, indent=2)
 _ROWS_PER_WRITE = 2048
 
 
@@ -452,7 +452,7 @@ def main(argv=None):
     except MiningFailed as exc:
         print(f"mining failed: {exc}", file=sys.stderr)
         return EXIT_ANALYTIC
-    except (NarrfuncError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (NarrfuncError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

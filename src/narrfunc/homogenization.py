@@ -18,7 +18,7 @@ episode's masks once and reuses them for every pair.
 
 import math
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import taxonomy
@@ -135,10 +135,7 @@ def seq_similarity(a, b, method=EDIT):
 
 
 def _modal_fraction(symbols):
-    counts = {}
-    for s in symbols:
-        counts[s] = counts.get(s, 0) + 1
-    return max(counts.values()) / len(symbols)
+    return max(Counter(symbols).values()) / len(symbols)
 
 
 def analyze_episodes(episode_set, method=EDIT):
@@ -159,9 +156,7 @@ def analyze_episodes(episode_set, method=EDIT):
             matrix[i][j] = matrix[j][i] = sim
             upper.append(sim)
     pooled = [s for e in episodes for s in e]
-    counts = {}
-    for s in pooled:
-        counts[s] = counts.get(s, 0) + 1
+    counts = Counter(pooled)
     entropy = -sum(
         (c / len(pooled)) * math.log2(c / len(pooled)) for c in counts.values()
     )

@@ -10,7 +10,7 @@ Scores are ratios of int tallies, which add up over segments: a run tallies
 each reply against its own segment's gold, as if scoring the concatenation.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import compress
 from operator import eq
@@ -138,13 +138,10 @@ def cohen_kappa(labels_a, labels_b):
     if n == 0:
         raise EmptyInput("empty label lists")
     agree = sum(1 for a, b in zip(labels_a, labels_b) if a == b)
-    counts_a, counts_b = {}, {}
-    for a, b in zip(labels_a, labels_b):
-        counts_a[a] = counts_a.get(a, 0) + 1
-        counts_b[b] = counts_b.get(b, 0) + 1
+    counts_a, counts_b = Counter(labels_a), Counter(labels_b)
     p_o = Fraction(agree, n)
     p_e = sum(
-        Fraction(counts_a[label], n) * Fraction(counts_b.get(label, 0), n)
+        Fraction(counts_a[label], n) * Fraction(counts_b[label], n)
         for label in counts_a
     )
     if p_e == 1:

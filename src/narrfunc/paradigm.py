@@ -13,7 +13,7 @@ A sequence is any list or tuple of symbols, indexed as given.
 """
 
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from statistics import median
 
@@ -114,9 +114,8 @@ def parse_pattern(s, plot_label=None):
         if m.group(1):
             elements.append(taxonomy.parse_symbol(m.group(1)))
         else:
-            options = tuple(t.strip() for t in m.group(2).split("/"))
-            for option in options:
-                taxonomy.parse_symbol(option)
+            options = tuple(taxonomy.parse_symbol(t.strip())
+                            for t in m.group(2).split("/"))
             if len(options) < 2:
                 raise PatternSyntaxError(m.start(), "alternation needs >= 2 symbols")
             if len(set(options)) != len(options):
@@ -191,9 +190,7 @@ def support(seqs, pattern):
 def _mine_anchor(position_symbols, n_total, min_support, max_alt):
     """Pick the most frequent symbol(s) at one end, widening to an
     alternation set until the combined frequency reaches min_support."""
-    counts = {}
-    for symbol in position_symbols:
-        counts[symbol] = counts.get(symbol, 0) + 1
+    counts = Counter(position_symbols)
     ranked = sorted(counts, key=lambda s: (-counts[s], s))
     chosen = []
     covered = 0

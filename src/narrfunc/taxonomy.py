@@ -3,8 +3,8 @@
 Two immutable registries live here: the 34-function taxonomy used for
 annotating Chinese web fiction, and the 31-function list from Propp's
 original folktale morphology, kept as a static reference.  Symbols are
-plain strings; ``parse_symbol`` is the single gate that turns untrusted
-tokens into validated symbols.
+plain strings; a lookup in ``CANONICAL`` both validates a token and
+yields the registry's own string object, as every parsing path stores.
 """
 
 from collections import namedtuple
@@ -89,10 +89,10 @@ _FUNCTIONS = (
        NEW, hints=(ROLE,)),
 )
 
-_BY_SYMBOL = {f.symbol: f for f in _FUNCTIONS}
-
 #: The closed alphabet of valid symbols, in registry order.
 SYMBOLS = tuple(f.symbol for f in _FUNCTIONS)
+#: Each symbol onto itself: a lookup yields the registry's own string.
+CANONICAL = {s: s for s in SYMBOLS}
 
 _LEGACY = (
     LegacyFunctionDef("a", "Initial situation",
@@ -153,18 +153,15 @@ _LEGACY = (
 
 
 def parse_symbol(token):
-    """Validate *token* against the 34-symbol registry.
+    """The registry's own string for *token*.
 
     Matching is whole-token, case-sensitive.  Raises :class:`UnknownSymbol`
     for anything outside the closed set.
     """
-    if token in _BY_SYMBOL:
-        return token
-    raise UnknownSymbol(token)
-
-
-def is_symbol(token):
-    return token in _BY_SYMBOL
+    symbol = CANONICAL.get(token)
+    if symbol is None:
+        raise UnknownSymbol(token)
+    return symbol
 
 
 def all_functions():

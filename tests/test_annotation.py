@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from narrfunc import annotation, taxonomy
+from narrfunc import annotation, paradigm, taxonomy
 from narrfunc.annotation import (
     AnnotatedSegment,
     Annotation,
@@ -22,6 +22,7 @@ from narrfunc.errors import (
     ParenthesizedUnknownToken,
     UnknownSymbol,
 )
+from narrfunc.homogenization import sample_windows
 
 
 class TestParseInline:
@@ -269,15 +270,49 @@ class TestParseSequenceString:
 
     @pytest.mark.parametrize("text", ["Em-Lo-Ch", " Em - Lo -Ch "])
     def test_symbols_are_the_registry_strings(self, text):
-        # Both the fast and the padded path hand out the registry's objects,
-        # as do the sequence loader and extraction's hyphen-line path.
+        # Every path hands out the registry's own objects, not the caller's
+        # token.  The symbols have two letters: CPython caches one-letter
+        # strings, so those would be the registry's objects anyway.
         registry = {id(s) for s in taxonomy.SYMBOLS}
-        for symbols in (parse_sequence_string(text),
-                        *annotation.load_sequences(["# header", text, ""]),
+        loaded = annotation.load_sequences(["# header", text, ""])
+        for symbols in (parse_sequence_string(text), *loaded,
                         extract_symbols(f"Episode outline:\n{text}\n")):
             assert type(symbols) is list
             assert symbols == ["Em", "Lo", "Ch"]
             assert all(id(s) in registry for s in symbols)
+
+        inline = "".join(f"文本（{s}）" for s in ("Em", "Lo", "Ch"))
+        segments = load_corpus([
+            json.dumps({"id": "inline", "genre": "Urban", "text": inline},
+                       ensure_ascii=False),
+            json.dumps({"id": "offsets", "genre": "Urban", "clean_text": "abc",
+                        "annotations": [{"offset": i, "symbol": s}
+                                        for i, s in enumerate(("Em", "Lo", "Ch"))]}),
+        ])
+        windows = sample_windows({seg.id: seg for seg in segments}, seed=0,
+                                 groups=1, novels_per_group=2)
+        assert len(windows) == 2
+        for anns in (parse_inline(inline)[1],
+                     *(seg.annotations for seg in segments + windows)):
+            assert [a.symbol for a in anns] == ["Em", "Lo", "Ch"]
+            assert all(id(a.symbol) in registry for a in anns)
+
+        patterns = [paradigm.parse_pattern("(Em)->{Lo/Fr}~>(Ch)"),
+                    *paradigm.builtin_paradigms(), paradigm.mine(loaded * 3)]
+        assert patterns[0].elements[1].options == ("Lo", "Fr")
+        assert patterns[-1].elements == ("Em", "Lo", "Ch")
+        for pattern in patterns:
+            for element in pattern.elements:
+                options = getattr(element, "options", (element,))
+                assert all(id(s) in registry for s in options)
+
+    def test_load_sequences_names_the_line(self):
+        with pytest.raises(MalformedRecord) as exc_info:
+            annotation.load_sequences(["# header", "A-Q-S", "", "A-Qx-S\n"])
+        assert exc_info.value.line_no == 4
+        assert str(exc_info.value) == ("malformed record on line 4: "
+                                       "unknown function symbol 'Qx' at position 1")
+        assert isinstance(exc_info.value.__cause__, UnknownSymbol)
 
 
 def _record(i, genre="Fantasy", text="开场(A)结尾(S)"):
@@ -298,8 +333,10 @@ class TestLoadCorpus:
         assert seg.annotations == [Annotation(2, "Q")]
 
     def test_invalid_genre(self):
-        with pytest.raises(InvalidGenre):
-            load_corpus([_record(1, genre="SciFi")])
+        with pytest.raises(MalformedRecord) as exc_info:
+            load_corpus([_record(1), _record(2, genre="SciFi")])
+        assert exc_info.value.line_no == 2
+        assert isinstance(exc_info.value.__cause__, InvalidGenre)
 
     def test_city_alias(self):
         seg = load_corpus([_record(1, genre="City")])[0]
@@ -328,8 +365,24 @@ class TestLoadCorpus:
         assert seg.id == "0"
 
     def test_strict_unknown_marker(self):
-        with pytest.raises(ParenthesizedUnknownToken):
-            load_corpus([_record(1, text="文本(Zz)")], strict=True)
+        with pytest.raises(MalformedRecord) as exc_info:
+            load_corpus([_record(1), "", _record(2, text="文本(Zz)")], strict=True)
+        assert exc_info.value.line_no == 3
+        assert isinstance(exc_info.value.__cause__, ParenthesizedUnknownToken)
+
+    @pytest.mark.parametrize("record, reason", [
+        ('{"id": "s", "genre": "Urban", "clean_text": "abcd", '
+         '"annotations": [{"offset": 5, "symbol": "Q"}]}',
+         "offset 5 outside clean text"),
+        ('{"id": "s", "genre": "Urban", "clean_text": "abcd", '
+         '"annotations": [{"offset": 1, "symbol": "Qx"}]}',
+         "unknown function symbol 'Qx'"),
+        ('["s", "Urban", "text"]', "record is not an object"),
+    ], ids=["offset-past-clean-text", "offset-form-unknown-symbol", "not-an-object"])
+    def test_bad_record_names_its_line(self, record, reason):
+        with pytest.raises(MalformedRecord) as exc_info:
+            load_corpus([_record(1), record])
+        assert str(exc_info.value) == f"malformed record on line 2: {reason}"
 
     def test_thousand_entry_corpus(self):
         rng = random.Random(7)

@@ -103,6 +103,14 @@ class TestStats:
         assert lines[0] == "symbol,count,class"
         assert len(lines) == 35
 
+    def test_empty_corpus_warns(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        code, out, err = run_cli(capsys, "stats", str(empty), "--output-format", "json")
+        assert code == cli.EXIT_OK
+        assert err == "warning: empty corpus\n"
+        assert sum(json.loads(out)["counts"].values()) == 0
+
     def test_windows_zero_groups_is_input_error(self, capsys):
         code, out, err = run_cli(
             capsys, "stats", str(DATA / "recognition_corpus.jsonl"),
@@ -150,7 +158,8 @@ class TestMatch:
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("content, argv, message", [
         ("", [], "error: support over an empty corpus"),
-        ("A-Q-S\nA-K-O\nA-Qx-S\n", [], "error: unknown function symbol 'Qx' at position 1"),
+        ("A-Q-S\nA-K-O\nA-Qx-S\n", [], "error: malformed record on line 3: "
+                                       "unknown function symbol 'Qx' at position 1"),
         ("A-Q-S\n", ["--pattern", "(A)->"], "error: pattern syntax error at 5: "),
     ], ids=["empty-file", "unknown-symbol-on-last-line", "malformed-pattern"])
     def test_failing_run_writes_nothing(self, tmp_path, capsys, content, argv,
@@ -447,8 +456,7 @@ _values = st.one_of(
 
 
 def _dumps(report):
-    return json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2,
-                      default=str) + "\n"
+    return json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
 def _emitted(report):
@@ -472,3 +480,9 @@ def test_emit_rows_across_write_chunks(n):
     rows = [{"sequence": f"A-{i}", "labels": ["battle"] * (i % 3)} for i in range(n)]
     report = {"header": {"tool": "x"}, "matches": rows, "support": {}}
     assert _emitted({**report, "matches": iter(rows)}) == _dumps(report)
+
+
+def test_emit_refuses_a_non_json_value():
+    # A report value JSON cannot hold fails loudly instead of becoming its str().
+    with pytest.raises(TypeError):
+        _emitted({"x": object()})

@@ -13,6 +13,8 @@ followed by the expected stderr.  Regenerate all of them with::
 
     PYTHONPATH=src python tests/test_golden.py
 
+which prints each file it changed, added or removed.
+
 A change that alters a golden byte names each changed file and the
 reason in CHANGES.md.
 """
@@ -51,6 +53,9 @@ def _matrix():
         # Input errors: exit 2 with one message and no report.
         "error_empty_file": ["match", "{tmp}/empty.seq"],
         "error_unknown_last_symbol": ["match", "{tmp}/unknown_last.seq"],
+        "error_corpus_strict_token": [
+            "parse", "{tmp}/strict_token.jsonl", "--format", "jsonl", "--strict"],
+        "error_corpus_unknown_symbol": ["stats", "{tmp}/unknown_symbol.jsonl"],
         "error_bad_pattern": ["match", "plots_battle.seq", "--pattern", "(A)->"],
         "error_bad_timeout": [
             "eval", "--corpus", CORPUS, "--backend", "http",
@@ -170,6 +175,10 @@ def write_inputs(tmp):
         "replay_mixed.jsonl": _mixed_fixture(),
         "empty.seq": "",
         "unknown_last.seq": "A-Q-S\nA-Q-Zz\n",
+        "strict_token.jsonl": '{"id": "a", "genre": "Urban", "text": "x(A)y(S)"}\n'
+                              '{"id": "b", "genre": "Urban", "text": "x(ok)y(S)"}\n',
+        "unknown_symbol.jsonl": '{"id": "a", "genre": "Urban", "clean_text": "xy", '
+                                '"annotations": [{"offset": 1, "symbol": "Zz"}]}\n',
         "no_equals.cfg": "# settings\nmodel = demo\nendpoint http://127.0.0.1:9/v1\n",
         "unknown_key.cfg": "modle = demo\n",
         "duplicate_key.cfg": "model = a\n# again\nmodel = b\n",
@@ -212,19 +221,25 @@ def test_no_stale_golden_files():
 
 
 def regenerate():
+    """Rewrite ``tests/golden/`` and print each file changed, added or removed."""
     for var in ("NARR_ENDPOINT", "NARR_MODEL"):
         os.environ.pop(var, None)
-    GOLDEN.mkdir(exist_ok=True)
-    for stale in GOLDEN.iterdir():
-        stale.unlink()
     os.chdir(DATA)
+    fresh = {}
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(tmp)
         for name in sorted(CASES):
-            out, err = run_case(name, tmp)
-            (GOLDEN / f"{name}.out").write_bytes(out)
-            (GOLDEN / f"{name}.err").write_bytes(err)
-    print(f"wrote {2 * len(CASES)} files to {GOLDEN}", file=sys.stderr)
+            fresh[f"{name}.out"], fresh[f"{name}.err"] = run_case(name, tmp)
+    GOLDEN.mkdir(exist_ok=True)
+    old = {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
+    for name in sorted(old.keys() | fresh.keys()):
+        if name not in fresh:
+            (GOLDEN / name).unlink()
+            print(f"removed {name}")
+        elif old.get(name) != fresh[name]:
+            (GOLDEN / name).write_bytes(fresh[name])
+            print(f"{'changed' if name in old else 'added'} {name}")
+    print(f"{len(fresh)} files in {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":

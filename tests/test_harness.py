@@ -291,6 +291,10 @@ class TestHttpConfig:
         with pytest.raises(ValueError, match="replay_path"):
             make_backend(BackendConfig(kind="replay"))
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown backend kind 'grpc'$"):
+            make_backend(BackendConfig(kind="grpc"))
+
     def test_explicit_endpoint(self):
         backend = make_backend(BackendConfig(
             kind="http", endpoint="http://flag.test/v1", model_name="m"))

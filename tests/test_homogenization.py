@@ -199,6 +199,10 @@ class TestAnalyzeEpisodes:
         with pytest.raises(TooFewEpisodes):
             analyze_episodes(EpisodeSet([["A", "K"]]))
 
+    def test_empty_episode(self):
+        with pytest.raises(EmptySequence, match="^episodes must be nonempty$"):
+            analyze_episodes(EpisodeSet([["A", "K"], []]))
+
 
 class TestFrequencyProfile:
     def test_total_332(self):

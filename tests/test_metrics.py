@@ -172,6 +172,10 @@ class TestScoreInstances:
         with pytest.raises(LengthMismatch):
             score_instances(gold, Prediction(["K"], 0))
 
+    def test_negative_extras(self):
+        with pytest.raises(ValueError, match="^extras must be >= 0$"):
+            score_instances(gold_instances(["K"]), Prediction(["K"], -1))
+
     def test_random_against_oracle(self):
         rng = random.Random(12345)
         for _ in range(1000):

@@ -9,6 +9,7 @@ from narrfunc.paradigm import (
     AltSet,
     LINEAR,
     NONLINEAR,
+    ParadigmPattern,
     builtin_paradigms,
     classify,
     emit_pattern,
@@ -83,6 +84,29 @@ class TestParsePattern:
     def test_missing_connector(self):
         with pytest.raises(PatternSyntaxError):
             parse_pattern("(A)(B)")
+
+    @pytest.mark.parametrize("text, message", [
+        ("(A)->x", "pattern syntax error at 5: unexpected input 'x'"),
+        ("->(A)", "pattern syntax error at 0: connector without element"),
+        ("(A)->{O}", "pattern syntax error at 5: alternation needs >= 2 symbols"),
+        ("", "pattern syntax error at 0: empty pattern"),
+    ])
+    def test_syntax_error_message(self, text, message):
+        with pytest.raises(PatternSyntaxError) as exc_info:
+            parse_pattern(text)
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: AltSet(("A",)), ValueError, "AltSet needs at least 2 options"),
+        (lambda: ParadigmPattern(("A",), ()), TooFewElements,
+         "pattern needs at least 2 elements"),
+        (lambda: ParadigmPattern(("A", "S"), ()), ValueError,
+         "connector count must be element count - 1"),
+    ], ids=["one-option", "one-element", "connector-count"])
+    def test_direct_construction_checks(self, build, error, message):
+        with pytest.raises(error) as exc_info:
+            build()
+        assert str(exc_info.value) == message
 
     def test_duplicate_alternation_option(self):
         with pytest.raises(PatternSyntaxError) as exc_info:
@@ -338,6 +362,18 @@ class TestMine:
         seqs = [["A", "Z"], ["B", "Z"], ["C", "Z"], ["D", "Z"]]
         with pytest.raises(MiningFailed):
             mine(seqs, Fraction(1), 1)
+
+    @pytest.mark.parametrize("seqs, max_alt, error, message", [
+        ([["A", "S"]], 0, ValueError, "max_alt must be >= 1"),
+        ([["A"], ["S"]], 1, MiningFailed, "no sequence long enough to carry two anchors"),
+        # Each anchor alone covers 2 of 4 sequences; together they cover 1.
+        ([["A", "E", "B"], ["A", "F", "C"], ["D", "G", "B"], ["D", "H", "C"]], 1,
+         MiningFailed, "anchors reach support individually but not jointly"),
+    ], ids=["max-alt-0", "all-length-1", "anchors-not-joint"])
+    def test_mine_refuses(self, seqs, max_alt, error, message):
+        with pytest.raises(error) as exc_info:
+            mine(seqs, Fraction(1, 2), max_alt)
+        assert str(exc_info.value) == message
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
