@@ -133,8 +133,15 @@ def extract_symbols(text):
 
 def load_sequences(lines):
     """Read one hyphen sequence per line into a list of symbol lists; blank
-    lines and # comments are skipped, and an unknown symbol names its line."""
-    seqs = []
+    lines and # comments are skipped, and an unknown symbol names its line.
+    A file's lines split at "\\n" alone: ``str.splitlines()`` also splits at
+    padding such as ``\\x0c``.  Bare symbol lines are read in one pass."""
+    lines = list(lines)
+    try:
+        return [list(map(taxonomy.CANONICAL.__getitem__, line.split("-")))
+                for line in lines if line]
+    except KeyError:  # slow path: padding, a comment or an unknown symbol
+        seqs = []
     for line_no, line in enumerate(lines, start=1):
         s = line.strip()
         if s and not s.startswith("#"):
@@ -145,11 +152,10 @@ def load_sequences(lines):
     return seqs
 
 
-def _normalize_genre(raw):
-    genre = _GENRE_ALIASES.get(raw, raw)
-    if genre not in GENRES:
-        raise InvalidGenre(f"unknown genre {raw!r}")
-    return genre
+def _string(record, field):
+    if not isinstance(value := record[field], str):
+        raise TypeError(f"{field} is {type(value).__name__}, not a string")
+    return value
 
 
 def segment_from_record(record, strict=False):
@@ -157,14 +163,17 @@ def segment_from_record(record, strict=False):
     seg_id = record.get("id")
     if seg_id is None or seg_id == "":
         raise KeyError("id")
-    genre = _normalize_genre(record["genre"])
+    raw_genre = _string(record, "genre")
+    genre = _GENRE_ALIASES.get(raw_genre, raw_genre)
+    if genre not in GENRES:
+        raise InvalidGenre(f"unknown genre {raw_genre!r}")
     if "text" in record:
-        clean_text, annotations = parse_inline(record["text"], strict=strict)
+        clean_text, annotations = parse_inline(_string(record, "text"), strict=strict)
     else:
-        clean_text = record["clean_text"]
+        clean_text = _string(record, "clean_text")
         annotations = []
         for item in record.get("annotations", []):
-            symbol = taxonomy.parse_symbol(item["symbol"])
+            symbol = taxonomy.parse_symbol(_string(item, "symbol"))
             offset = int(item["offset"])
             if not 0 <= offset <= len(clean_text):
                 raise ValueError(f"offset {offset} outside clean text")

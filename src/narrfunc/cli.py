@@ -157,17 +157,16 @@ def cmd_registry(args):
 
 
 def cmd_parse(args):
-    with open(args.input, encoding="utf-8") as fh:
-        lines = fh.readlines()
     if args.format == "seq":
-        seqs = annotation.load_sequences(lines)
+        seqs = _load_seq_file(args.input)
         report = {
             "header": _header("parse", {"format": "seq"}, [args.input]),
             "sequences": ["-".join(s) for s in seqs],
             "count": len(seqs),
         }
     elif args.format == "jsonl":
-        segments = annotation.load_corpus(lines, strict=args.strict)
+        with open(args.input, encoding="utf-8") as fh:
+            segments = annotation.load_corpus(fh, strict=args.strict)
         report = {
             "header": _header("parse", {"format": "jsonl", "strict": args.strict},
                               [args.input]),
@@ -180,8 +179,9 @@ def cmd_parse(args):
             "count": len(segments),
         }
     else:  # inline: whole file is one segment, blank line splits segments
-        chunks = [c for c in "\n".join(l.rstrip("\n") for l in lines).split("\n\n")
-                  if c.strip()]
+        with open(args.input, encoding="utf-8") as fh:
+            text = fh.read().removesuffix("\n")
+        chunks = [c for c in text.split("\n\n") if c.strip()]
         segments = []
         for i, chunk in enumerate(chunks, start=1):
             clean, anns = annotation.parse_inline(chunk, strict=args.strict)
@@ -235,9 +235,9 @@ def cmd_stats(args):
     return EXIT_OK
 
 
-def _load_seq_file(path):
+def _load_seq_file(path):  # the one .seq reader
     with open(path, encoding="utf-8") as fh:
-        return annotation.load_sequences(fh)
+        return annotation.load_sequences(fh.read().split("\n"))
 
 
 def _support_fields(frac):
@@ -254,9 +254,7 @@ def cmd_match(args):
     if not seqs:
         raise EmptyCorpus("support over an empty corpus")
     # One verdict pass before any output; rows are built as they are written.
-    shared = {}  # label combination -> the one list its sequences share
-    verdicts = [shared.setdefault(tuple(labels), labels)
-                for labels in (paradigm.classify(s, patterns) for s in seqs)]
+    verdicts = paradigm.classify(seqs, patterns)
     hits = Counter(chain.from_iterable(verdicts))
     supports = {p.plot_label: {"pattern": paradigm.emit_pattern(p),
                                **_support_fields(Fraction(hits[p.plot_label], len(seqs)))}

@@ -7,13 +7,15 @@ development and ``~>`` nonlinear development; the distinction matters
 for mining and reporting, not for matching, because nonlinear plots
 share only their initial and terminal markers.  Each pattern is compiled
 to one accepted-symbol set per element; every matcher runs one greedy
-anchored kernel over them, failing fast on the anchors, and ``narrfunc
-match`` classifies each sequence once, counting supports from the verdicts.
+anchored kernel over them, failing fast on the anchors.  ``classify`` runs
+it only on the patterns whose anchors accept a sequence's (first, last)
+pair, found once per distinct pair; ``mine`` counts supports inside the
+anchor-conforming sequences.
 A sequence is any list or tuple of symbols, indexed as given.
 """
 
 import re
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from statistics import median
 
@@ -173,9 +175,19 @@ def matches(seq, pattern):
     return _bind(seq, pattern._accepts)
 
 
-def classify(seq, patterns):
-    """Labels of every matching pattern, in input order."""
-    return [p.plot_label for p in patterns if _bind(seq, p._accepts) is not None]
+def classify(seqs, patterns):
+    """Each sequence's matching labels in pattern order; equal lists are shared."""
+    by_anchors = {}  # (first, last) -> patterns whose anchors accept the pair
+    shared = {}  # label combination -> the one list its sequences share
+    verdicts = []
+    for s in seqs:
+        key = (s[0], s[-1]) if s else None  # None: all patterns, so _bind raises
+        if (candidates := by_anchors.get(key)) is None:
+            candidates = by_anchors[key] = [p for p in patterns if key is None or (
+                key[0] in p._accepts[0] and key[1] in p._accepts[-1])]
+        labels = [p.plot_label for p in candidates if _bind(s, p._accepts) is not None]
+        verdicts.append(shared.setdefault(tuple(labels), labels))
+    return verdicts
 
 
 def support(seqs, pattern):
@@ -235,26 +247,27 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
 
     fallback = ParadigmPattern((start, end), (NONLINEAR,))
     first, last = fallback._accepts
+    # Every match of a pattern with these anchors lies in this projection.
     conforming = [s for s in usable if s[0] in first and s[-1] in last]
-    positions = {}  # symbol -> list of relative positions, one per sequence
+    positions = defaultdict(list)  # symbol -> relative positions, one per sequence
     for s in conforming:
-        span = len(s) - 1
-        seen = {}
+        span, seen = len(s) - 1, set()
         for i in range(1, span):
-            seen.setdefault(s[i], i / span)
-        for symbol, rel in seen.items():
-            positions.setdefault(symbol, []).append(rel)
-    interior = [
-        symbol for symbol, rels in positions.items()
-        if Fraction(len(rels), len(conforming)) >= min_support
-    ]
+            if s[i] not in seen:
+                seen.add(s[i])
+                positions[s[i]].append(i / span)
+    interior = [symbol for symbol, rels in positions.items()
+                if Fraction(len(rels), len(conforming)) >= min_support]
     interior.sort(key=lambda symbol: (median(positions[symbol]), symbol))
 
+    if not all(seqs):  # as a support() over the whole corpus would
+        raise EmptySequence("cannot match an empty sequence")
     if interior:
         candidate = ParadigmPattern((start, *interior, end),
                                     (LINEAR,) * (len(interior) + 1))
-        if support(seqs, candidate) >= min_support:
+        hits = sum(_bind(s, candidate._accepts) is not None for s in conforming)
+        if Fraction(hits, n) >= min_support:
             return candidate
-    if support(seqs, fallback) >= min_support:
+    if Fraction(len(conforming), n) >= min_support:
         return fallback
     raise MiningFailed("anchors reach support individually but not jointly")

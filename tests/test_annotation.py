@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from narrfunc import annotation, paradigm, taxonomy
+from narrfunc import annotation, cli, paradigm, taxonomy
 from narrfunc.annotation import (
     AnnotatedSegment,
     Annotation,
@@ -315,6 +315,85 @@ class TestParseSequenceString:
         assert isinstance(exc_info.value.__cause__, UnknownSymbol)
 
 
+def loop_load_sequences(lines):
+    """Oracle: the per-line loop, which reads every line on its own."""
+    seqs = []
+    for line_no, line in enumerate(lines, start=1):
+        s = line.strip()
+        if s and not s.startswith("#"):
+            try:
+                seqs.append(parse_sequence_string(s))
+            except UnknownSymbol as exc:
+                raise MalformedRecord(line_no, str(exc)) from exc
+    return seqs
+
+
+def _loaded(load, *args):
+    """The sequences *load* returns, or the line and message it raised."""
+    try:
+        return load(*args)
+    except MalformedRecord as exc:
+        return exc.line_no, str(exc)
+
+
+# Padding that str.strip() removes; all but " " and "\t" are also line
+# breaks to str.splitlines(), though not to a file's universal newlines.
+_PADS = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029")
+_bare_line = st.lists(st.sampled_from(taxonomy.SYMBOLS), min_size=1,
+                      max_size=6).map("-".join)
+_seq_token = st.one_of(
+    st.sampled_from(taxonomy.SYMBOLS),
+    st.tuples(st.sampled_from(_PADS), st.sampled_from(taxonomy.SYMBOLS),
+              st.sampled_from(("", *_PADS))).map("".join),
+    st.sampled_from(("Zz", "a", "")))
+_seq_line = st.one_of(
+    _bare_line, _bare_line,
+    st.lists(_seq_token, min_size=1, max_size=5).map("-".join),
+    st.sampled_from(("", "  ", "# comment", " #A-Q-S", *_PADS)))
+
+
+@st.composite
+def seq_file_text(draw):
+    """A ``.seq`` file: bare lines only (the fast path), or any mix of
+    bare, padded, unknown, blank and comment lines, with any line endings
+    and an optional final one."""
+    line = draw(st.sampled_from((_bare_line, _seq_line)))
+    lines = draw(st.lists(st.tuples(line, st.sampled_from(("\n", "\r\n", "\r"))),
+                          max_size=8))
+    text = "".join(body + end for body, end in lines)
+    return text.rstrip("\r\n") if lines and draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def seq_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("seq") / "plots.seq"
+
+
+class TestLoadSequences:
+    @given(text=seq_file_text())
+    def test_seq_file_equals_loop_oracle(self, seq_path, text):
+        seq_path.write_bytes(text.encode("utf-8"))
+        with open(seq_path, encoding="utf-8") as fh:
+            expected = _loaded(loop_load_sequences, fh)
+        assert _loaded(cli._load_seq_file, seq_path) == expected
+        if isinstance(expected, list):
+            registry = {id(s) for s in taxonomy.SYMBOLS}
+            loaded = cli._load_seq_file(seq_path)
+            assert all(type(s) is list for s in loaded)
+            assert all(id(x) in registry for s in loaded for x in s)
+
+    def test_lines_break_at_newlines_only(self, tmp_path):
+        path = tmp_path / "padded.seq"
+        path.write_bytes("A-\x0cQ-S\nA-Q\x85-S\r\nA-\u2028Q-S\r".encode("utf-8"))
+        assert cli._load_seq_file(path) == [["A", "Q", "S"]] * 3
+
+    def test_file_handle_lines(self):
+        # Lines that keep their "\n", as a file object yields them, take the
+        # per-line loop and read the same.
+        assert annotation.load_sequences(["A-Q-S\n", "\n", "Em-Ch"]) == [
+            ["A", "Q", "S"], ["Em", "Ch"]]
+
+
 def _record(i, genre="Fantasy", text="开场(A)结尾(S)"):
     return json.dumps({"id": f"s{i}", "genre": genre, "text": text},
                       ensure_ascii=False)
@@ -378,7 +457,19 @@ class TestLoadCorpus:
          '"annotations": [{"offset": 1, "symbol": "Qx"}]}',
          "unknown function symbol 'Qx'"),
         ('["s", "Urban", "text"]', "record is not an object"),
-    ], ids=["offset-past-clean-text", "offset-form-unknown-symbol", "not-an-object"])
+        ('{"id": "s", "genre": ["Urban"], "text": "x(A)"}',
+         "genre is list, not a string"),
+        ('{"id": "s", "genre": null, "text": "x(A)"}',
+         "genre is NoneType, not a string"),
+        ('{"id": "s", "genre": "Urban", "text": 5}', "text is int, not a string"),
+        ('{"id": "s", "genre": "Urban", "clean_text": ["ab"], "annotations": []}',
+         "clean_text is list, not a string"),
+        ('{"id": "s", "genre": "Urban", "clean_text": "abcd", '
+         '"annotations": [{"offset": 1, "symbol": ["Q"]}]}',
+         "symbol is list, not a string"),
+    ], ids=["offset-past-clean-text", "offset-form-unknown-symbol", "not-an-object",
+            "genre-list", "genre-null", "text-number", "clean-text-list",
+            "offset-form-symbol-list"])
     def test_bad_record_names_its_line(self, record, reason):
         with pytest.raises(MalformedRecord) as exc_info:
             load_corpus([_record(1), record])

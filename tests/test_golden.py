@@ -9,21 +9,33 @@ contains those paths.
 
 ``tests/golden/<case>.out`` holds the expected stdout and
 ``tests/golden/<case>.err`` the exit code (first line, ``exit: N``)
-followed by the expected stderr.  Regenerate all of them with::
+followed by the expected stderr.
+
+``tests/golden/bench_digests.json`` holds, per benchmark seed and
+command, the exit code and the SHA-256 of stdout and of stderr of runs
+over the benchmark's own inputs (a 100k-sequence ``.seq`` file, a dense
+recognition corpus, 40 episodes), built by ``perfbench/inputs.py``: the
+reports there are megabytes, so only their digests are kept.
+
+Regenerate all of them with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints each file it changed, added or removed.
+which prints each file it changed, added or removed, and each changed
+digest.
 
 A change that alters a golden byte names each changed file and the
 reason in CHANGES.md.
 """
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
 import pathlib
+import random
 import sys
 import tempfile
 
@@ -33,6 +45,8 @@ from narrfunc import annotation, cli, harness
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+BENCH_DIGESTS = GOLDEN / "bench_digests.json"
+BENCH_INPUTS_PY = DATA.parents[1] / "perfbench" / "inputs.py"
 
 PLOTS = ("adventure", "battle", "daily_life", "difficult_task",
          "emotional", "pretending")
@@ -56,6 +70,7 @@ def _matrix():
         "error_corpus_strict_token": [
             "parse", "{tmp}/strict_token.jsonl", "--format", "jsonl", "--strict"],
         "error_corpus_unknown_symbol": ["stats", "{tmp}/unknown_symbol.jsonl"],
+        "error_corpus_genre_list": ["stats", "{tmp}/genre_list.jsonl"],
         "error_bad_pattern": ["match", "plots_battle.seq", "--pattern", "(A)->"],
         "error_bad_timeout": [
             "eval", "--corpus", CORPUS, "--backend", "http",
@@ -102,6 +117,21 @@ def _matrix():
 
 
 CASES = _matrix()
+
+# Runs over the benchmark's inputs at its default seed; a second seed
+# would double the test's 3 s.
+BENCH_SEEDS = (0,)
+BENCH_CASES = {
+    name: [*argv, "--output-format", "json"] for name, argv in {
+        "parse_seq": ["parse", "plots.seq", "--format", "seq"],
+        "match": ["match", "plots.seq"],
+        "mine": ["mine", "plots.seq"],
+        "homog_edit": ["homog", "episodes.seq", "--method", "edit"],
+        "homog_lcs": ["homog", "episodes.seq", "--method", "lcs"],
+        "eval": ["eval", "--corpus", "dense.jsonl"],
+        "stats": ["stats", "dense.jsonl"],
+    }.items()
+}
 
 def _replay_fixture():
     """Replies for the replay cases, in one of three shapes by request
@@ -179,6 +209,7 @@ def write_inputs(tmp):
                               '{"id": "b", "genre": "Urban", "text": "x(ok)y(S)"}\n',
         "unknown_symbol.jsonl": '{"id": "a", "genre": "Urban", "clean_text": "xy", '
                                 '"annotations": [{"offset": 1, "symbol": "Zz"}]}\n',
+        "genre_list.jsonl": '{"id": "a", "genre": ["Urban"], "text": "x(A)"}\n',
         "no_equals.cfg": "# settings\nmodel = demo\nendpoint http://127.0.0.1:9/v1\n",
         "unknown_key.cfg": "modle = demo\n",
         "duplicate_key.cfg": "model = a\n# again\nmodel = b\n",
@@ -187,15 +218,48 @@ def write_inputs(tmp):
         pathlib.Path(tmp, name).write_text(text, encoding="utf-8")
 
 
+def _run(argv):
+    """(stdout, exit code, stderr) of one CLI run in process, the streams
+    as UTF-8 bytes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return out.getvalue().encode("utf-8"), code, err.getvalue().encode("utf-8")
+
+
 def run_case(name, tmp):
     """(stdout, exit line + stderr) of one case as UTF-8 bytes, run in
     process with the working directory in DATA."""
-    out, err = io.StringIO(), io.StringIO()
-    argv = [a.replace("{tmp}", str(tmp)) for a in CASES[name]]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return (out.getvalue().encode("utf-8"),
-            f"exit: {code}\n{err.getvalue()}".encode("utf-8"))
+    out, code, err = _run([a.replace("{tmp}", str(tmp)) for a in CASES[name]])
+    return out, f"exit: {code}\n".encode("utf-8") + err
+
+
+def write_bench_inputs(directory, seed):
+    """Write the benchmark's paradigm-corpus, recognition-dense and
+    homog-episodes inputs at *seed*, drawn as ``perfbench/run.py`` draws
+    them: one ``random.Random(seed)`` per workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", BENCH_INPUTS_PY)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(seed)
+    dense = gen.segments(rng, gen.DENSE_SEGMENTS, gen.DENSE_MARKERS, "dense",
+                         asides=True)
+    gen.one_segment(rng)  # the set-up input, drawn before the corpus
+    files = {
+        "dense.jsonl": gen.corpus_jsonl(rng, dense, True),
+        "plots.seq": gen.seq_file(gen.plot_sequences(random.Random(seed))),
+        "episodes.seq": gen.seq_file(gen.episodes(random.Random(seed))),
+    }
+    for name, text in files.items():
+        pathlib.Path(directory, name).write_text(text, encoding="utf-8")
+
+
+def bench_digest(name):
+    """Exit code and stream digests of one bench case, run in process with
+    the working directory holding the bench inputs."""
+    out, code, err = _run(BENCH_CASES[name])
+    return {"exit": code, "stdout": hashlib.sha256(out).hexdigest(),
+            "stderr": hashlib.sha256(err).hexdigest()}
 
 
 @pytest.fixture(scope="module")
@@ -215,13 +279,31 @@ def test_golden(name, inputs, monkeypatch):
     assert err == (GOLDEN / f"{name}.err").read_bytes()
 
 
+@pytest.fixture(scope="module")
+def bench_inputs(tmp_path_factory):
+    """Seed -> directory holding that seed's bench inputs."""
+    dirs = {seed: tmp_path_factory.mktemp(f"bench{seed}") for seed in BENCH_SEEDS}
+    for seed, directory in dirs.items():
+        write_bench_inputs(directory, seed)
+    return dirs
+
+
+@pytest.mark.parametrize("seed", BENCH_SEEDS)
+@pytest.mark.parametrize("name", sorted(BENCH_CASES))
+def test_bench_digest(seed, name, bench_inputs, monkeypatch):
+    expected = json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
+    monkeypatch.chdir(bench_inputs[seed])
+    assert bench_digest(name) == expected[str(seed)][name]
+
+
 def test_no_stale_golden_files():
     expected = {f"{name}.{ext}" for name in CASES for ext in ("out", "err")}
-    assert {p.name for p in GOLDEN.iterdir()} == expected
+    assert {p.name for p in GOLDEN.iterdir()} == expected | {BENCH_DIGESTS.name}
 
 
 def regenerate():
-    """Rewrite ``tests/golden/`` and print each file changed, added or removed."""
+    """Rewrite ``tests/golden/`` and print each file changed, added or
+    removed, and each bench digest changed or added."""
     for var in ("NARR_ENDPOINT", "NARR_MODEL"):
         os.environ.pop(var, None)
     os.chdir(DATA)
@@ -230,6 +312,21 @@ def regenerate():
         write_inputs(tmp)
         for name in sorted(CASES):
             fresh[f"{name}.out"], fresh[f"{name}.err"] = run_case(name, tmp)
+    digests = {}
+    for seed in BENCH_SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            write_bench_inputs(tmp, seed)
+            os.chdir(tmp)
+            digests[str(seed)] = {name: bench_digest(name) for name in sorted(BENCH_CASES)}
+            os.chdir(DATA)
+    old_digests = (json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
+                   if BENCH_DIGESTS.is_file() else {})
+    for seed, table in digests.items():
+        for name, digest in table.items():
+            if old_digests.get(seed, {}).get(name) != digest:
+                print(f"digest {seed}/{name}: {digest}")
+    fresh[BENCH_DIGESTS.name] = (json.dumps(digests, indent=2, sort_keys=True)
+                                 + "\n").encode("utf-8")
     GOLDEN.mkdir(exist_ok=True)
     old = {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
     for name in sorted(old.keys() | fresh.keys()):

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from statistics import median
 
 import pytest
 from hypothesis import given, strategies as st
@@ -172,18 +173,28 @@ class TestMatches:
 
 class TestClassify:
     def test_battle_only(self):
-        assert classify(["A", "Q", "S"], builtin_paradigms()) == ["battle"]
+        assert classify([["A", "Q", "S"]], builtin_paradigms()) == [["battle"]]
 
     def test_minimal_emotional(self):
-        assert classify(["Em", "Ch"], builtin_paradigms()) == ["emotional"]
+        assert classify([["Em", "Ch"]], builtin_paradigms()) == [["emotional"]]
 
     def test_no_match(self):
-        assert classify(["K", "F"], builtin_paradigms()) == []
+        assert classify([["K", "F"]], builtin_paradigms()) == [[]]
 
     def test_multiple_labels_possible(self):
         # daily_life and battle share the A anchor
-        labels = classify(["A", "Q", "S", "Ch"], builtin_paradigms())
+        [labels] = classify([["A", "Q", "S", "Ch"]], builtin_paradigms())
         assert "daily_life" in labels
+
+    def test_equal_verdicts_share_one_list(self):
+        verdicts = classify([["A", "Q", "S"], ["K", "F"], ["A", "K", "Q", "O"],
+                             ["F", "K"]], builtin_paradigms())
+        assert verdicts == [["battle"], [], ["battle"], []]
+        assert verdicts[0] is verdicts[2] and verdicts[1] is verdicts[3]
+
+    def test_empty_sequence_with_no_patterns(self):
+        # No pattern reaches the kernel, so nothing raises, as before.
+        assert classify([[], ["A"]], []) == [[], []]
 
 
 SUPPORTS = {
@@ -283,7 +294,7 @@ def test_matchers_against_oracle(case):
             with pytest.raises(EmptySequence):
                 matches(seq, patterns[0])
             with pytest.raises(EmptySequence):
-                classify(seq, patterns)
+                classify([seq], patterns)
             continue
         expected = []
         for p in patterns:
@@ -294,8 +305,8 @@ def test_matchers_against_oracle(case):
                 assert matches(seq, p) is None
             if bindings is not None:
                 expected.append(p.plot_label)
-        assert classify(seq, patterns) == expected
-        assert classify(tuple(seq), patterns) == expected
+        assert classify([seq], patterns) == [expected]
+        assert classify([tuple(seq)], patterns) == [expected]
     nonempty = [s for s in seqs if s]
     for p in patterns:
         if any(not s for s in seqs):
@@ -385,3 +396,111 @@ class TestMine:
     def test_support_out_of_range(self, min_support):
         with pytest.raises(ValueError, match=r"min_support must be in \(0, 1\]"):
             mine([["A", "S"]], min_support, 1)
+
+
+# Oracles: the per-sequence classify, and the mine that counted each
+# support over the whole corpus, which the anchor-pair index and the
+# projected counts replaced.
+def loop_classify(seq, patterns):
+    return [p.plot_label for p in patterns if matches(seq, p) is not None]
+
+
+def loop_support(seqs, pattern):
+    seqs = list(seqs)
+    if not seqs:
+        raise EmptyCorpus("support over an empty corpus")
+    hits = sum(matches(s, pattern) is not None for s in seqs)
+    return Fraction(hits, len(seqs))
+
+
+def loop_mine(seqs, min_support, max_alt):
+    seqs = list(seqs)
+    if not seqs:
+        raise EmptyCorpus("mining over an empty corpus")
+    min_support = 0 < min_support <= 1 and Fraction(min_support).limit_denominator(10**6)
+    if not min_support:
+        raise ValueError("min_support must be in (0, 1]")
+    if max_alt < 1:
+        raise ValueError("max_alt must be >= 1")
+    n = len(seqs)
+    usable = [s for s in seqs if len(s) >= 2]
+    if not usable:
+        raise MiningFailed("no sequence long enough to carry two anchors")
+    start = paradigm._mine_anchor([s[0] for s in usable], n, min_support, max_alt)
+    end = paradigm._mine_anchor([s[-1] for s in usable], n, min_support, max_alt)
+    fallback = ParadigmPattern((start, end), (NONLINEAR,))
+    conforming = [s for s in usable
+                  if element_accepts(start, s[0]) and element_accepts(end, s[-1])]
+    positions = {}
+    for s in conforming:
+        span = len(s) - 1
+        seen = {}
+        for i in range(1, span):
+            seen.setdefault(s[i], i / span)
+        for symbol, rel in seen.items():
+            positions.setdefault(symbol, []).append(rel)
+    interior = [symbol for symbol, rels in positions.items()
+                if Fraction(len(rels), len(conforming)) >= min_support]
+    interior.sort(key=lambda symbol: (median(positions[symbol]), symbol))
+    if interior:
+        candidate = ParadigmPattern((start, *interior, end),
+                                    (LINEAR,) * (len(interior) + 1))
+        if loop_support(seqs, candidate) >= min_support:
+            return candidate
+    if loop_support(seqs, fallback) >= min_support:
+        return fallback
+    raise MiningFailed("anchors reach support individually but not jointly")
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, EmptyCorpus, EmptySequence, MiningFailed) as exc:
+        return type(exc), str(exc)
+
+
+@given(corpus_and_patterns())
+def test_classify_and_support_equal_loop_oracles(case):
+    seqs, patterns = case
+    for form in (seqs, [tuple(s) for s in seqs]):
+        verdicts = _outcome(classify, form, patterns)
+        assert verdicts == _outcome(
+            lambda: [loop_classify(s, patterns) for s in form])
+        if isinstance(verdicts, list):
+            assert len(set(map(id, verdicts))) == len(set(map(tuple, verdicts)))
+        for p in patterns:
+            assert _outcome(support, form, p) == _outcome(loop_support, form, p)
+
+
+def test_shared_anchor_symbol_needs_two_positions():
+    # Both anchors accept A, yet one position cannot bind both.
+    patterns = [parse_pattern("(A)->(A)", plot_label="aa"),
+                parse_pattern("{A/B}~>{B/A}", plot_label="ab")]
+    assert classify([["A"], ["A", "A"], ["B"], ["A", "B"]], patterns) == [
+        [], ["aa", "ab"], [], ["ab"]]
+    assert support([["A"], ["A", "A"]], patterns[0]) == Fraction(1, 2)
+
+
+@st.composite
+def mining_corpus(draw):
+    """1-12 sequences over a 3-4 symbol alphabet: copies of one template
+    with 0-3 symbols inserted after its first, or free sequences of 0-7
+    symbols (empty and length-1 ones included)."""
+    alphabet = draw(st.lists(symbols_st, min_size=3, max_size=4, unique=True))
+    letter = st.sampled_from(alphabet)
+    template = draw(st.lists(letter, min_size=2, max_size=6))
+    near = st.lists(letter, max_size=3).map(
+        lambda extra: template[:1] + extra + template[1:])
+    return draw(st.lists(st.one_of(near, st.lists(letter, max_size=7)),
+                         min_size=1, max_size=12))
+
+
+@given(mining_corpus(),
+       st.sampled_from((Fraction(1, 5), Fraction(2, 5), Fraction(1, 2),
+                        Fraction(3, 5), Fraction(4, 5), 1)),
+       st.integers(1, 3))
+def test_mine_equals_loop_oracle(seqs, min_support, max_alt):
+    expected = _outcome(loop_mine, seqs, min_support, max_alt)
+    assert _outcome(mine, seqs, min_support, max_alt) == expected
+    assert _outcome(mine, [tuple(s) for s in seqs], min_support, max_alt) == expected
