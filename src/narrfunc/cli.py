@@ -2,8 +2,11 @@
 
 Subcommands tie the library into reproducible workflows; every report
 opens with a provenance header (tool version, effective settings, input
-digests) so each number can be traced to its inputs.  All input is checked
-before the first byte goes out; ``match`` streams its rows (:func:`_emit`).
+digests) so each number can be traced to its inputs.  Each ``cmd_*``
+builds and returns its report and writes nothing; :func:`main` writes it
+through :func:`_emit`.  Each command imports the layers it runs.  All
+input is checked before the first byte goes out; ``match`` streams its
+rows (:func:`_emit`).
 Exit codes: 0 success, 1 stdout closed early (``| head``), 2 input/config
 error, 3 analytic failure, 4 backend unreachable.
 """
@@ -19,7 +22,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring
 
-from . import __version__, annotation, harness, homogenization, paradigm, taxonomy
+from . import __version__, annotation, taxonomy
 from .errors import (
     BackendUnreachable, EmptyCorpus, MalformedRecord, MiningFailed, NarrfuncError)
 
@@ -52,11 +55,13 @@ _ROWS_PER_WRITE = 2048
 
 
 def _emit(report, fmt, out=None):
-    """Write the dict *report* as text, or as ``json.dumps(report, **_JSON)``
-    would with each top-level iterator of flat rows listed by _write_rows."""
+    """Write *report*: a list as its lines, a dict as text, or a dict as
+    ``json.dumps(report, **_JSON)`` would with each top-level iterator of
+    flat rows listed by _write_rows."""
     out = out if out is not None else sys.stdout
     if fmt != "json":
-        return _emit_text(report, out)
+        lines = report if isinstance(report, list) else _text_lines(report)
+        return out.writelines(f"{line}\n" for line in lines)
     lead = "{\n  "
     for key in sorted(report):
         out.write(f"{lead}{encode_basestring(key)}: ")
@@ -95,21 +100,21 @@ def _write_rows(rows, out):
     out.write("[]" if lead == "[\n" else "\n  ]")
 
 
-def _emit_text(obj, out, indent=""):
+def _text_lines(obj, indent=""):
     if isinstance(obj, dict):
         for key in obj:
             value = obj[key]
             if isinstance(value, (dict, list, Iterator)):
-                out.write(f"{indent}{key}:\n")
-                _emit_text(value, out, indent + "  ")
+                yield f"{indent}{key}:"
+                yield from _text_lines(value, indent + "  ")
             else:
-                out.write(f"{indent}{key}: {value}\n")
+                yield f"{indent}{key}: {value}"
     elif isinstance(obj, (list, Iterator)):
         for value in obj:
             if isinstance(value, (dict, list)):
-                _emit_text(value, out, indent + "  ")
+                yield from _text_lines(value, indent + "  ")
             else:
-                out.write(f"{indent}- {value}\n")
+                yield f"{indent}- {value}"
 
 
 def _load_config_file(path, keys):
@@ -147,19 +152,20 @@ def _resolved(args, keys):
 
 def cmd_registry(args):
     defs = taxonomy.legacy_functions() if args.legacy else taxonomy.all_functions()
+    lines = []
     for d in defs:
         record = {"symbol": d.symbol, "name": d.name, "description": d.description}
         if not args.legacy:
             record["status"] = d.status
             record["division_hints"] = sorted(d.division_hints)
-        print(json.dumps(record, sort_keys=True, ensure_ascii=False))
-    return EXIT_OK
+        lines.append(json.dumps(record, sort_keys=True, ensure_ascii=False))
+    return lines
 
 
 def cmd_parse(args):
     if args.format == "seq":
         seqs = _load_seq_file(args.input)
-        report = {
+        return {
             "header": _header("parse", {"format": "seq"}, [args.input]),
             "sequences": ["-".join(s) for s in seqs],
             "count": len(seqs),
@@ -167,7 +173,7 @@ def cmd_parse(args):
     elif args.format == "jsonl":
         with open(args.input, encoding="utf-8") as fh:
             segments = annotation.load_corpus(fh, strict=args.strict)
-        report = {
+        return {
             "header": _header("parse", {"format": "jsonl", "strict": args.strict},
                               [args.input]),
             "segments": [
@@ -191,18 +197,17 @@ def cmd_parse(args):
                 "annotations": len(anns),
                 "chars": len(clean),
             })
-        report = {
+        return {
             "header": _header("parse", {"format": "inline", "strict": args.strict},
                               [args.input]),
             "segments": segments,
             "count": len(segments),
             "total_annotations": sum(s["annotations"] for s in segments),
         }
-    _emit(report, args.output_format)
-    return EXIT_OK
 
 
 def cmd_stats(args):
+    from . import homogenization
     with open(args.corpus, encoding="utf-8") as fh:
         segments = annotation.load_corpus(fh, strict=args.strict)
     if not segments:
@@ -214,25 +219,21 @@ def cmd_stats(args):
             novels_per_group=args.per_group, chars=args.chars)
     seqs = [annotation.sequence_of(s) for s in segments]
     profile = homogenization.frequency_profile(seqs)
-    header = _header("stats", {
-        "windows": bool(args.windows), "seed": args.seed,
-        "chars": args.chars, "mean": round(profile.mean, 2),
-        "total": profile.total,
-    }, [args.corpus])
     if args.output_format == "csv":
-        print("symbol,count,class")
-        for symbol in taxonomy.SYMBOLS:
-            cls = "common" if symbol in profile.common_set else "rare"
-            print(f"{symbol},{profile.counts[symbol]},{cls}")
-        return EXIT_OK
-    report = {
-        "header": header,
+        return ["symbol,count,class", *(
+            f"{symbol},{profile.counts[symbol]},"
+            f"{'common' if symbol in profile.common_set else 'rare'}"
+            for symbol in taxonomy.SYMBOLS)]
+    return {
+        "header": _header("stats", {
+            "windows": bool(args.windows), "seed": args.seed,
+            "chars": args.chars, "mean": round(profile.mean, 2),
+            "total": profile.total,
+        }, [args.corpus]),
         "counts": {s: profile.counts[s] for s in taxonomy.SYMBOLS},
         "common": sorted(profile.common_set),
         "rare": sorted(profile.rare_set),
     }
-    _emit(report, args.output_format)
-    return EXIT_OK
 
 
 def _load_seq_file(path):  # the one .seq reader
@@ -246,6 +247,7 @@ def _support_fields(frac):
 
 
 def cmd_match(args):
+    from . import paradigm
     seqs = _load_seq_file(args.sequences)
     if args.pattern:
         patterns = [paradigm.parse_pattern(args.pattern, plot_label="pattern")]
@@ -259,94 +261,79 @@ def cmd_match(args):
     supports = {p.plot_label: {"pattern": paradigm.emit_pattern(p),
                                **_support_fields(Fraction(hits[p.plot_label], len(seqs)))}
                 for p in patterns}
-    report = {
+    return {
         "header": _header("match", {"pattern": args.pattern or "builtins"},
                           [args.sequences]),
         "support": supports,
         "matches": ({"sequence": "-".join(s), "labels": labels}
                     for s, labels in zip(seqs, verdicts)),
     }
-    _emit(report, args.output_format)
-    return EXIT_OK
 
 
 def cmd_mine(args):
+    from . import paradigm
     seqs = _load_seq_file(args.sequences)
     mined = paradigm.mine(seqs, min_support=args.support, max_alt=args.max_alt)
     min_support = Fraction(args.support).limit_denominator(10**6)
-    report = {
+    return {
         "header": _header("mine", {"min_support": str(min_support),
                                    "max_alt": args.max_alt}, [args.sequences]),
         "pattern": paradigm.emit_pattern(mined),
         **_support_fields(paradigm.support(seqs, mined)),
     }
-    _emit(report, args.output_format)
-    return EXIT_OK
 
 
-def _backend_config(args):
-    resolved = _resolved(args, ["endpoint", "model"])
-    return harness.BackendConfig(
-        kind=args.backend,
-        endpoint=resolved["endpoint"],
-        model_name=resolved["model"],
-        timeout=args.timeout,
-        max_parallel=args.max_parallel,
-        replay_path=args.replay_path,
-    )
-
-
-def _summary_table(report):
-    """Columns mirroring the recognition-results table layout."""
-    def cell(summary):
-        return f"{summary.mean:.3f}(±{summary.std:.1f})"
-
-    lines = ["metric        common           rare             sum"]
-    for field in ("accuracy", "recall", "f1", "precision"):
-        lines.append(
-            f"{field:<12}  {cell(report.common[field]):<15}  "
-            f"{cell(report.rare[field]):<15}  {cell(report.sum[field])}")
-    return "\n".join(lines)
+class _FailedRequests(Exception):
+    """``eval --fail-on-error`` with a nonempty error ledger (its args)."""
 
 
 def cmd_eval(args):
+    from . import harness
     with open(args.corpus, encoding="utf-8") as fh:
         segments = annotation.load_corpus(fh)
-    cfg = _backend_config(args)
+    resolved = _resolved(args, ["endpoint", "model"])
+    cfg = harness.BackendConfig(
+        kind=args.backend, endpoint=resolved["endpoint"],
+        model_name=resolved["model"], timeout=args.timeout,
+        max_parallel=args.max_parallel, replay_path=args.replay_path)
     result = harness.run_recognition(cfg, segments, rounds=args.rounds,
                                      preds_per_round=args.preds, seed=args.seed)
     if args.fail_on_error and result.errors:
-        for err in result.errors:
-            print(f"error: {err}", file=sys.stderr)
-        return EXIT_BACKEND
-    report = {
-        "header": _header("eval", {
-            "backend": cfg.kind, "rounds": args.rounds,
-            "preds_per_round": args.preds, "seed": args.seed,
-            "model": cfg.model_name or "default",
-        }, [args.corpus]),
-        "metrics": {
-            split: {f: {"mean": round(s.mean, 4), "std": round(s.std, 4)}
-                    for f, s in getattr(result.report, split).items()}
-            for split in ("common", "rare", "sum")
-        },
-        "requests": result.requests,
-        "errors": len(result.errors),
-    }
-    if args.output_format == "text":
-        _emit({"header": report["header"]}, "text")
-        print(_summary_table(result.report))
-        print(f"requests: {result.requests}  errors: {len(result.errors)}")
-    else:
-        _emit(report, args.output_format)
-    return EXIT_OK
+        raise _FailedRequests(*result.errors)
+    header = _header("eval", {
+        "backend": cfg.kind, "rounds": args.rounds,
+        "preds_per_round": args.preds, "seed": args.seed,
+        "model": cfg.model_name or "default",
+    }, [args.corpus])
+    if args.output_format == "json":
+        return {
+            "header": header,
+            "metrics": {
+                split: {f: {"mean": round(s.mean, 4), "std": round(s.std, 4)}
+                        for f, s in getattr(result.report, split).items()}
+                for split in ("common", "rare", "sum")
+            },
+            "requests": result.requests,
+            "errors": len(result.errors),
+        }
+
+    def cell(summary):
+        return f"{summary.mean:.3f}(±{summary.std:.1f})"
+
+    table = result.report  # columns mirroring the recognition-results table
+    return [*_text_lines({"header": header}),
+            "metric        common           rare             sum",
+            *(f"{f:<12}  {cell(table.common[f]):<15}  {cell(table.rare[f]):<15}  "
+              f"{cell(table.sum[f])}" for f in ("accuracy", "recall", "f1", "precision")),
+            f"requests: {result.requests}  errors: {len(result.errors)}"]
 
 
 def cmd_homog(args):
+    from . import homogenization
     seqs = _load_seq_file(args.sequences)
     episode_set = homogenization.EpisodeSet(episodes=seqs)
     rep = homogenization.analyze_episodes(episode_set, method=args.method)
-    report = {
+    return {
         "header": _header("homog", {"method": args.method}, [args.sequences]),
         "mean_similarity": round(rep.mean_similarity, 4),
         "first_marker_consistency": round(rep.first_marker_consistency, 4),
@@ -355,8 +342,6 @@ def cmd_homog(args):
         "entropy_bits": round(rep.entropy_bits, 4),
         "pairwise": [[round(v, 4) for v in row] for row in rep.pairwise],
     }
-    _emit(report, args.output_format)
-    return EXIT_OK
 
 
 def build_parser():
@@ -373,7 +358,7 @@ def build_parser():
     p = sub.add_parser("registry", help="export the function registries")
     p.add_argument("--legacy", action="store_true",
                    help="export the original 31-function list instead")
-    p.set_defaults(func=cmd_registry)
+    p.set_defaults(func=cmd_registry, output_format="jsonl")
 
     p = sub.add_parser("parse", help="parse annotated text or sequence files")
     p.add_argument("input")
@@ -435,15 +420,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        _emit(args.func(args), args.output_format)
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown
-        return code
+        return EXIT_OK
     except BrokenPipeError:  # as in "Note on SIGPIPE" in Python's signal docs
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except _FailedRequests as exc:
+        print("\n".join(f"error: {err}" for err in exc.args), file=sys.stderr)
+        return EXIT_BACKEND
     except BackendUnreachable as exc:
         print(f"backend unreachable: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -17,7 +17,6 @@ A sequence is any list or tuple of symbols, indexed as given.
 import re
 from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
-from statistics import median
 
 from . import taxonomy
 from .errors import (
@@ -228,6 +227,7 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
     order is not stable enough), the interiors are dropped and the
     anchors-only nonlinear pattern is returned.
     """
+    from statistics import median  # only mining reads it
     seqs = list(seqs)
     if not seqs:
         raise EmptyCorpus("mining over an empty corpus")

@@ -8,6 +8,10 @@ used as it is.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -18,6 +22,7 @@ from narrfunc.annotation import AnnotatedSegment, parse_inline
 from conftest import DATA
 
 TRACED_PATH = DATA.parents[1] / "perfbench" / "traced.py"
+SRC = DATA.parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +62,20 @@ def test_episode_counts(traced):
     assert span((episode_set,), {"method": "lcs"}) == "homogenization.analyze_lcs"
     assert dict(count((episode_set,), {}, None)) == {
         "homogenization.pairs": 1, "homogenization.dp_cells": 6}
+
+
+@pytest.mark.parametrize("argv, span", [
+    (["homog", "episodes_qwen.seq", "--method", "lcs"], "homogenization.analyze_lcs"),
+    (["match", "plots_battle.seq"], "paradigm.classify"),
+    (["eval", "--corpus", "recognition_corpus.jsonl", "--rounds", "1", "--preds", "1"],
+     "harness.run_recognition"),
+], ids=["homog", "match", "eval"])
+def test_runner_traces_layers_a_command_imports(traced, tmp_path, argv, span):
+    # cli imports these layers inside its commands; the runner still wraps
+    # the module bindings those commands call through.
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run([sys.executable, str(TRACED_PATH), str(spans), *argv], cwd=DATA,
+                   env=env, stdout=subprocess.DEVNULL, check=True, timeout=60)
+    totals = traced.layer_totals(json.loads(spans.read_text(encoding="utf-8")))
+    assert totals[f"{span}_calls"] == 1

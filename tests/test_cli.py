@@ -9,11 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import narrfunc
 from narrfunc import cli, paradigm, taxonomy
 
 from conftest import DATA, load_seq_file
 
 SRC = DATA.parents[1] / "src"
+GOLDEN = DATA.parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -434,11 +436,73 @@ class TestEntryPoint:
                                 timeout=60)
         assert result.stdout == "False\n"
 
+    @staticmethod
+    def _loaded_by(argv, modules):
+        """Which of *modules* a fresh interpreter holds after ``cli.main(argv)``
+        in DATA: the report goes to stdout, the sorted names to stderr."""
+        code = ("import sys; from narrfunc import cli; code = cli.main(sys.argv[2:]); "
+                "print(sorted(set(sys.argv[1].split(',')) & set(sys.modules)), "
+                "file=sys.stderr); sys.exit(code)")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-c", code, ",".join(modules), *argv], cwd=DATA,
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        return result.stderr
+
+    def test_homog_leaves_out_unused_layers(self):
+        assert self._loaded_by(["homog", "episodes_qwen.seq"], [
+            "narrfunc.harness", "narrfunc.metrics", "narrfunc.paradigm",
+            "narrfunc.homogenization"]) == "['narrfunc.homogenization']\n"
+
+    def test_match_leaves_out_unused_layers(self):
+        assert self._loaded_by(["match", "plots_battle.seq"], [
+            "narrfunc.harness", "narrfunc.metrics", "narrfunc.homogenization",
+            "statistics", "narrfunc.paradigm"]) == "['narrfunc.paradigm']\n"
+
+    def test_package_loads_submodules_on_first_use(self):
+        code = ("import sys, narrfunc; before = 'narrfunc.paradigm' in sys.modules; "
+                "print(before, narrfunc.paradigm.mine.__name__)")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=60)
+        assert result.stdout == "False mine\n"
+        with pytest.raises(AttributeError, match="nosuch"):
+            narrfunc.nosuch
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["--version"])
         assert exc_info.value.code == 0
         assert "narrfunc" in capsys.readouterr().out
+
+
+# Golden case -> its argv, for the layouts main writes: JSONL, csv, the
+# eval table, streamed json rows and text.
+RETURNED = {
+    "registry": ["registry"],
+    "stats_csv": ["stats", "recognition_corpus.jsonl", "--output-format", "csv"],
+    "eval_mock_text": ["eval", "--corpus", "recognition_corpus.jsonl",
+                       "--output-format", "text"],
+    "match_battle_json": ["match", "plots_battle.seq", "--output-format", "json"],
+    "homog_edit_qwen_text": ["homog", "episodes_qwen.seq", "--method", "edit",
+                             "--output-format", "text"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETURNED))
+def test_commands_return_reports_and_write_nothing(case, capsys, monkeypatch):
+    # Only main writes: a command returns its report, and _emit renders it
+    # as the golden case that runs the same argv through main.
+    monkeypatch.chdir(DATA)
+    for var in ("NARR_ENDPOINT", "NARR_MODEL"):
+        monkeypatch.delenv(var, raising=False)
+    args = cli.build_parser().parse_args(RETURNED[case])
+    report = args.func(args)
+    assert capsys.readouterr().out == ""
+    out = io.StringIO()
+    cli._emit(report, args.output_format, out)
+    assert out.getvalue().encode("utf-8") == (GOLDEN / f"{case}.out").read_bytes()
 
 
 # Strings that stress JSON escaping: quotes, backslashes, control and
