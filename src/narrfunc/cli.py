@@ -2,11 +2,12 @@
 
 Subcommands tie the library into reproducible workflows; every report
 opens with a provenance header (tool version, effective settings, input
-digests) so each number can be traced to its inputs.  Each ``cmd_*``
-builds and returns its report and writes nothing; :func:`main` writes it
-through :func:`_emit`.  Each command imports the layers it runs.  All
-input is checked before the first byte goes out; ``match`` streams its
-rows (:func:`_emit`).
+digests) so each number can be traced to its inputs.  Each input is read
+once (:func:`_read`), and the header digests the bytes that were parsed.
+Each ``cmd_*`` builds and returns its report and writes nothing;
+:func:`main` writes it through :func:`_emit`.  Each command imports the
+layers it runs.  All input is checked before the first byte goes out;
+``match`` streams its rows (:func:`_emit`).
 Exit codes: 0 success, 1 stdout closed early (``| head``), 2 input/config
 error, 3 analytic failure, 4 backend unreachable.
 """
@@ -33,12 +34,18 @@ EXIT_ANALYTIC = 3
 EXIT_BACKEND = 4
 
 
-def _file_digest(path):
-    h = hashlib.sha256()
+def _read(path):
+    """One read: the text, with text mode's newlines (no UTF-8 sequence holds
+    ``\r`` or ``\n``) and no leading BOM, and ``{path: digest}`` of the bytes."""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()[:16]
+        data = fh.read()
+    inputs = {path: hashlib.sha256(data).hexdigest()[:16]}
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff"), inputs
+    except UnicodeDecodeError as exc:
+        line_no = data[:exc.start].count(b"\n") + 1
+        raise MalformedRecord(line_no, f"not UTF-8: {exc.reason}") from exc
 
 
 def _header(command, settings, inputs):
@@ -46,7 +53,7 @@ def _header(command, settings, inputs):
         "tool": f"narrfunc {__version__}",
         "command": command,
         "settings": settings,
-        "inputs": {p: _file_digest(p) for p in inputs},
+        "inputs": inputs,
     }
 
 
@@ -120,21 +127,21 @@ def _text_lines(obj, indent=""):
 def _load_config_file(path, keys):
     """``key=value`` lines; a key outside *keys* or given twice is malformed."""
     settings = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise MalformedRecord(line_no, "expected key=value")
-            key = key.strip()
-            if key not in keys:
-                raise MalformedRecord(
-                    line_no, f"unknown key {key!r}, expected one of {', '.join(keys)}")
-            if key in settings:
-                raise MalformedRecord(line_no, f"key {key!r} given twice")
-            settings[key] = value.strip()
+    text, _ = _read(path)
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise MalformedRecord(line_no, "expected key=value")
+        key = key.strip()
+        if key not in keys:
+            raise MalformedRecord(
+                line_no, f"unknown key {key!r}, expected one of {', '.join(keys)}")
+        if key in settings:
+            raise MalformedRecord(line_no, f"key {key!r} given twice")
+        settings[key] = value.strip()
     return settings
 
 
@@ -164,18 +171,18 @@ def cmd_registry(args):
 
 def cmd_parse(args):
     if args.format == "seq":
-        seqs = _load_seq_file(args.input)
+        seqs, inputs = _load_seq_file(args.input)
         return {
-            "header": _header("parse", {"format": "seq"}, [args.input]),
+            "header": _header("parse", {"format": "seq"}, inputs),
             "sequences": ["-".join(s) for s in seqs],
             "count": len(seqs),
         }
     elif args.format == "jsonl":
-        with open(args.input, encoding="utf-8") as fh:
-            segments = annotation.load_corpus(fh, strict=args.strict)
+        text, inputs = _read(args.input)
+        segments = annotation.load_corpus(text.split("\n"), strict=args.strict)
         return {
             "header": _header("parse", {"format": "jsonl", "strict": args.strict},
-                              [args.input]),
+                              inputs),
             "segments": [
                 {"id": s.id, "genre": s.genre,
                  "sequence": "-".join(annotation.sequence_of(s)),
@@ -185,9 +192,8 @@ def cmd_parse(args):
             "count": len(segments),
         }
     else:  # inline: whole file is one segment, blank line splits segments
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read().removesuffix("\n")
-        chunks = [c for c in text.split("\n\n") if c.strip()]
+        text, inputs = _read(args.input)
+        chunks = [c for c in text.removesuffix("\n").split("\n\n") if c.strip()]
         segments = []
         for i, chunk in enumerate(chunks, start=1):
             clean, anns = annotation.parse_inline(chunk, strict=args.strict)
@@ -199,7 +205,7 @@ def cmd_parse(args):
             })
         return {
             "header": _header("parse", {"format": "inline", "strict": args.strict},
-                              [args.input]),
+                              inputs),
             "segments": segments,
             "count": len(segments),
             "total_annotations": sum(s["annotations"] for s in segments),
@@ -208,8 +214,8 @@ def cmd_parse(args):
 
 def cmd_stats(args):
     from . import homogenization
-    with open(args.corpus, encoding="utf-8") as fh:
-        segments = annotation.load_corpus(fh, strict=args.strict)
+    text, inputs = _read(args.corpus)
+    segments = annotation.load_corpus(text.split("\n"), strict=args.strict)
     if not segments:
         print("warning: empty corpus", file=sys.stderr)
     if args.windows:
@@ -229,16 +235,18 @@ def cmd_stats(args):
             "windows": bool(args.windows), "seed": args.seed,
             "chars": args.chars, "mean": round(profile.mean, 2),
             "total": profile.total,
-        }, [args.corpus]),
+        }, inputs),
         "counts": {s: profile.counts[s] for s in taxonomy.SYMBOLS},
         "common": sorted(profile.common_set),
         "rare": sorted(profile.rare_set),
     }
 
 
-def _load_seq_file(path):  # the one .seq reader
-    with open(path, encoding="utf-8") as fh:
-        return annotation.load_sequences(fh.read().split("\n"))
+def _load_seq_file(path):  # the one .seq reader: (sequences, {path: digest})
+    text, inputs = _read(path)
+    lines = text.split("\n")
+    del text  # not held while the sequences are built
+    return annotation.load_sequences(lines), inputs
 
 
 def _support_fields(frac):
@@ -248,7 +256,7 @@ def _support_fields(frac):
 
 def cmd_match(args):
     from . import paradigm
-    seqs = _load_seq_file(args.sequences)
+    seqs, inputs = _load_seq_file(args.sequences)
     if args.pattern:
         patterns = [paradigm.parse_pattern(args.pattern, plot_label="pattern")]
     else:
@@ -262,8 +270,7 @@ def cmd_match(args):
                                **_support_fields(Fraction(hits[p.plot_label], len(seqs)))}
                 for p in patterns}
     return {
-        "header": _header("match", {"pattern": args.pattern or "builtins"},
-                          [args.sequences]),
+        "header": _header("match", {"pattern": args.pattern or "builtins"}, inputs),
         "support": supports,
         "matches": ({"sequence": "-".join(s), "labels": labels}
                     for s, labels in zip(seqs, verdicts)),
@@ -272,14 +279,13 @@ def cmd_match(args):
 
 def cmd_mine(args):
     from . import paradigm
-    seqs = _load_seq_file(args.sequences)
+    seqs, inputs = _load_seq_file(args.sequences)
     mined = paradigm.mine(seqs, min_support=args.support, max_alt=args.max_alt)
-    min_support = Fraction(args.support).limit_denominator(10**6)
     return {
-        "header": _header("mine", {"min_support": str(min_support),
-                                   "max_alt": args.max_alt}, [args.sequences]),
-        "pattern": paradigm.emit_pattern(mined),
-        **_support_fields(paradigm.support(seqs, mined)),
+        "header": _header("mine", {"min_support": str(mined.min_support),
+                                   "max_alt": args.max_alt}, inputs),
+        "pattern": paradigm.emit_pattern(mined.pattern),
+        **_support_fields(mined.support),
     }
 
 
@@ -289,8 +295,8 @@ class _FailedRequests(Exception):
 
 def cmd_eval(args):
     from . import harness
-    with open(args.corpus, encoding="utf-8") as fh:
-        segments = annotation.load_corpus(fh)
+    text, inputs = _read(args.corpus)
+    segments = annotation.load_corpus(text.split("\n"))
     resolved = _resolved(args, ["endpoint", "model"])
     cfg = harness.BackendConfig(
         kind=args.backend, endpoint=resolved["endpoint"],
@@ -304,7 +310,7 @@ def cmd_eval(args):
         "backend": cfg.kind, "rounds": args.rounds,
         "preds_per_round": args.preds, "seed": args.seed,
         "model": cfg.model_name or "default",
-    }, [args.corpus])
+    }, inputs)
     if args.output_format == "json":
         return {
             "header": header,
@@ -330,11 +336,11 @@ def cmd_eval(args):
 
 def cmd_homog(args):
     from . import homogenization
-    seqs = _load_seq_file(args.sequences)
+    seqs, inputs = _load_seq_file(args.sequences)
     episode_set = homogenization.EpisodeSet(episodes=seqs)
     rep = homogenization.analyze_episodes(episode_set, method=args.method)
     return {
-        "header": _header("homog", {"method": args.method}, [args.sequences]),
+        "header": _header("homog", {"method": args.method}, inputs),
         "mean_similarity": round(rep.mean_similarity, 4),
         "first_marker_consistency": round(rep.first_marker_consistency, 4),
         "last_marker_consistency": round(rep.last_marker_consistency, 4),

@@ -109,7 +109,7 @@ class ReplayBackend:
     def __init__(self, path):
         self._responses = {}
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 for line_no, line in enumerate(fh, start=1):
                     if not line.strip():
                         continue

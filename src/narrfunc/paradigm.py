@@ -216,6 +216,9 @@ def _mine_anchor(position_symbols, n_total, min_support, max_alt):
         f"no anchor reaches support {min_support} within {max_alt} alternatives")
 
 
+Mined = namedtuple("Mined", "pattern support min_support")
+
+
 def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
     """Induce a paradigm from a sequence corpus.
 
@@ -226,6 +229,9 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
     itself reach min_support on the corpus (the interiors' relative
     order is not stable enough), the interiors are dropped and the
     anchors-only nonlinear pattern is returned.
+
+    Returns ``Mined(pattern, support, min_support)``: the pattern, its exact
+    support over the whole corpus, and min_support as applied (at 10**-6).
     """
     from statistics import median  # only mining reads it
     seqs = list(seqs)
@@ -260,14 +266,14 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
                 if Fraction(len(rels), len(conforming)) >= min_support]
     interior.sort(key=lambda symbol: (median(positions[symbol]), symbol))
 
-    if not all(seqs):  # as a support() over the whole corpus would
+    if not all(seqs):  # an empty sequence in the corpus is an error, as in support()
         raise EmptySequence("cannot match an empty sequence")
     if interior:
         candidate = ParadigmPattern((start, *interior, end),
                                     (LINEAR,) * (len(interior) + 1))
         hits = sum(_bind(s, candidate._accepts) is not None for s in conforming)
-        if Fraction(hits, n) >= min_support:
-            return candidate
-    if Fraction(len(conforming), n) >= min_support:
-        return fallback
+        if (share := Fraction(hits, n)) >= min_support:
+            return Mined(candidate, share, min_support)
+    if (share := Fraction(len(conforming), n)) >= min_support:
+        return Mined(fallback, share, min_support)
     raise MiningFailed("anchors reach support individually but not jointly")

@@ -119,22 +119,23 @@ def test_acceptance_5_paradigm_supports(plot_corpora):
 
 
 def test_acceptance_6_mining(plot_corpora):
-    battle = mine(plot_corpora["battle"], Fraction(3, 5), 2)
+    battle = mine(plot_corpora["battle"], Fraction(3, 5), 2).pattern
     ok = (battle.elements[0] == "A"
           and "Q" in battle.elements[1:-1]
           and isinstance(battle.elements[-1], paradigm.AltSet)
           and set(battle.elements[-1].options) == {"S", "O"})
 
-    emotional = mine(plot_corpora["emotional"], Fraction(3, 5), 2)
+    emotional = mine(plot_corpora["emotional"], Fraction(3, 5), 2).pattern
     ok &= emit_pattern(emotional) == "(Em)~>(Ch)"
 
     for name, seqs in plot_corpora.items():
         mined = mine(seqs, Fraction(3, 5), 2)
-        frac = support(seqs, mined)
+        frac = support(seqs, mined.pattern)
         ok &= frac >= Fraction(3, 5)
         brute = Fraction(
-            sum(oracle_matches(list(s), mined) for s in seqs), len(seqs))
+            sum(oracle_matches(list(s), mined.pattern) for s in seqs), len(seqs))
         ok &= frac == brute
+        ok &= mined.support == brute
     _report(6, ok)
 
 

@@ -298,7 +298,7 @@ class TestParseSequenceString:
             assert all(id(a.symbol) in registry for a in anns)
 
         patterns = [paradigm.parse_pattern("(Em)->{Lo/Fr}~>(Ch)"),
-                    *paradigm.builtin_paradigms(), paradigm.mine(loaded * 3)]
+                    *paradigm.builtin_paradigms(), paradigm.mine(loaded * 3).pattern]
         assert patterns[0].elements[1].options == ("Lo", "Fr")
         assert patterns[-1].elements == ("Em", "Lo", "Ch")
         for pattern in patterns:
@@ -375,17 +375,17 @@ class TestLoadSequences:
         seq_path.write_bytes(text.encode("utf-8"))
         with open(seq_path, encoding="utf-8") as fh:
             expected = _loaded(loop_load_sequences, fh)
-        assert _loaded(cli._load_seq_file, seq_path) == expected
+        assert _loaded(lambda path: cli._load_seq_file(path)[0], seq_path) == expected
         if isinstance(expected, list):
             registry = {id(s) for s in taxonomy.SYMBOLS}
-            loaded = cli._load_seq_file(seq_path)
+            loaded, _ = cli._load_seq_file(seq_path)
             assert all(type(s) is list for s in loaded)
             assert all(id(x) in registry for s in loaded for x in s)
 
     def test_lines_break_at_newlines_only(self, tmp_path):
         path = tmp_path / "padded.seq"
         path.write_bytes("A-\x0cQ-S\nA-Q\x85-S\r\nA-\u2028Q-S\r".encode("utf-8"))
-        assert cli._load_seq_file(path) == [["A", "Q", "S"]] * 3
+        assert cli._load_seq_file(path)[0] == [["A", "Q", "S"]] * 3
 
     def test_file_handle_lines(self):
         # Lines that keep their "\n", as a file object yields them, take the

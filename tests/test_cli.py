@@ -1,3 +1,6 @@
+import builtins
+import codecs
+import hashlib
 import io
 import json
 import os
@@ -215,6 +218,19 @@ class TestMine:
         report = json.loads(out)
         assert report["pattern"] == "(A)->(K)->(Q)->{O/S}"
         assert report["support"] == "2/3"
+
+    def test_support_is_counted_once(self, capsys, monkeypatch):
+        # mine hands back the support it counted; no second pass recounts it.
+        def recount(*args):
+            raise AssertionError("paradigm.support called")
+        monkeypatch.setattr(paradigm, "support", recount)
+        code, out, _ = run_cli(
+            capsys, "mine", str(DATA / "plots_battle.seq"),
+            "--output-format", "json")
+        assert code == cli.EXIT_OK
+        report = json.loads(out)
+        assert (report["support"], report["support_decimal"]) == ("2/3", 0.6667)
+        assert report["header"]["settings"]["min_support"] == "3/5"
 
     def test_unminable_exit_3(self, tmp_path, capsys):
         p = tmp_path / "seqs.seq"
@@ -550,3 +566,101 @@ def test_emit_refuses_a_non_json_value():
     # A report value JSON cannot hold fails loudly instead of becoming its str().
     with pytest.raises(TypeError):
         _emitted({"x": object()})
+
+
+# Command -> (argv with "{}" for the input file, that file's name in
+# tests/data), one case per command that reads an input file.
+CORPUS = "recognition_corpus.jsonl"
+INPUT_CASES = {
+    "parse_inline": (["parse", "{}"], "passage1.txt"),
+    "parse_seq": (["parse", "{}", "--format", "seq"], "plots_battle.seq"),
+    "parse_jsonl": (["parse", "{}", "--format", "jsonl"], CORPUS),
+    "stats": (["stats", "{}"], CORPUS),
+    "match": (["match", "{}"], "plots_battle.seq"),
+    "mine": (["mine", "{}"], "plots_battle.seq"),
+    "homog": (["homog", "{}"], "episodes_qwen.seq"),
+    "eval": (["eval", "--corpus", "{}", "--rounds", "1", "--preds", "1"], CORPUS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CASES))
+def test_each_input_is_opened_once(case, capsys, monkeypatch):
+    # One read both parses an input and digests it for the header.
+    argv, name = INPUT_CASES[case]
+    monkeypatch.chdir(DATA)
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, _, _ = run_cli(capsys, *[a.format(name) for a in argv],
+                         "--output-format", "json")
+    assert code == cli.EXIT_OK
+    assert opened.count(name) == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_pipe_input_digest_is_of_its_bytes(capsys):
+    data = (DATA / "plots_battle.seq").read_bytes()
+    read_end, write_end = os.pipe()
+    os.write(write_end, data)  # fits the pipe's buffer
+    os.close(write_end)
+    path = f"/dev/fd/{read_end}"
+    try:
+        code, out, _ = run_cli(capsys, "match", path, "--output-format", "json")
+    finally:
+        os.close(read_end)
+    assert code == cli.EXIT_OK
+    report = json.loads(out)
+    assert report["header"]["inputs"] == {path: hashlib.sha256(data).hexdigest()[:16]}
+    assert report["support"]["battle"]["support"] == "2/3"
+
+
+# Case -> (argv, file name, file content): each command input above, and
+# the config file and replay fixture that eval reads beside its corpus.
+_EVAL = ["eval", "--corpus", str(DATA / CORPUS), "--rounds", "1", "--preds", "1"]
+BOM_CASES = {
+    **{case: (argv, name, (DATA / name).read_bytes())
+       for case, (argv, name) in INPUT_CASES.items()},
+    "eval_config": ([*_EVAL, "--config", "{}"], "narr.cfg", b"model = demo\n"),
+    "eval_replay": ([*_EVAL, "--backend", "replay", "--replay-path", "{}"],
+                    "replay.jsonl", b'{"request_digest": "d0", "response_text": "A"}\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOM_CASES))
+def test_leading_bom_is_ignored(case, tmp_path, capsys, monkeypatch):
+    # The same relative path in two directories, so only the digest differs.
+    for var in ("NARR_ENDPOINT", "NARR_MODEL"):
+        monkeypatch.delenv(var, raising=False)
+    argv, name, content = BOM_CASES[case]
+    reports = []
+    for prefix in (b"", codecs.BOM_UTF8):
+        directory = tmp_path / ("bom" if prefix else "plain")
+        directory.mkdir()
+        (directory / name).write_bytes(prefix + content)
+        monkeypatch.chdir(directory)
+        code, out, err = run_cli(capsys, *[a.format(name) for a in argv],
+                                 "--output-format", "json")
+        assert (code, err) == (cli.EXIT_OK, "")
+        report = json.loads(out)
+        report["header"].pop("inputs")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("prefix", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("command", ["match", "config"])
+def test_invalid_utf8_names_its_line(command, newline, prefix, tmp_path, capsys):
+    lines = ([b"A-Q-S", b"A-K-Q-O", b"A-\xff-S"] if command == "match" else
+             [b"# settings", b"model = demo", b"endpoint = \xff"])
+    path = tmp_path / "input"
+    path.write_bytes(prefix + newline.join(lines) + newline)
+    argv = (["match", str(path)] if command == "match" else
+            ["eval", "--corpus", str(DATA / CORPUS), "--config", str(path)])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "error: malformed record on line 3: not UTF-8: invalid start byte\n"

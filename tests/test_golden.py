@@ -67,6 +67,7 @@ def _matrix():
         # Input errors: exit 2 with one message and no report.
         "error_empty_file": ["match", "{tmp}/empty.seq"],
         "error_unknown_last_symbol": ["match", "{tmp}/unknown_last.seq"],
+        "error_seq_not_utf8": ["match", "{tmp}/not_utf8.seq"],
         "error_corpus_strict_token": [
             "parse", "{tmp}/strict_token.jsonl", "--format", "jsonl", "--strict"],
         "error_corpus_unknown_symbol": ["stats", "{tmp}/unknown_symbol.jsonl"],
@@ -199,12 +200,14 @@ def _mixed_fixture():
 
 
 def write_inputs(tmp):
-    """Write the files that cases name under ``{tmp}``."""
+    """Write the files that cases name under ``{tmp}``: text as UTF-8,
+    bytes as given."""
     files = {
         "replay.jsonl": _replay_fixture(),
         "replay_mixed.jsonl": _mixed_fixture(),
         "empty.seq": "",
         "unknown_last.seq": "A-Q-S\nA-Q-Zz\n",
+        "not_utf8.seq": b"A-Q-S\r\nA-\xff-S\r\nA-Q-O\r\n",
         "strict_token.jsonl": '{"id": "a", "genre": "Urban", "text": "x(A)y(S)"}\n'
                               '{"id": "b", "genre": "Urban", "text": "x(ok)y(S)"}\n',
         "unknown_symbol.jsonl": '{"id": "a", "genre": "Urban", "clean_text": "xy", '
@@ -214,8 +217,9 @@ def write_inputs(tmp):
         "unknown_key.cfg": "modle = demo\n",
         "duplicate_key.cfg": "model = a\n# again\nmodel = b\n",
     }
-    for name, text in files.items():
-        pathlib.Path(tmp, name).write_text(text, encoding="utf-8")
+    for name, content in files.items():
+        pathlib.Path(tmp, name).write_bytes(
+            content if isinstance(content, bytes) else content.encode("utf-8"))
 
 
 def _run(argv):

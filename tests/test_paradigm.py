@@ -332,7 +332,7 @@ def test_compiled_sets_stay_out_of_eq_and_repr():
 
 class TestMine:
     def test_battle_column(self, plot_corpora):
-        mined = mine(plot_corpora["battle"], Fraction(3, 5), 2)
+        mined = mine(plot_corpora["battle"], Fraction(3, 5), 2).pattern
         assert mined.elements[0] == "A"
         assert "Q" in mined.elements[1:-1]
         assert isinstance(mined.elements[-1], AltSet)
@@ -340,33 +340,33 @@ class TestMine:
         assert support(plot_corpora["battle"], mined) >= Fraction(3, 5)
 
     def test_emotional_column(self, plot_corpora):
-        mined = mine(plot_corpora["emotional"], Fraction(3, 5), 2)
+        mined = mine(plot_corpora["emotional"], Fraction(3, 5), 2).pattern
         assert emit_pattern(mined) == "(Em)~>(Ch)"
         assert support(plot_corpora["emotional"], mined) >= Fraction(3, 5)
 
     def test_uniform_corpus(self):
         seqs = [["A", "B", "C"]] * 5
-        mined = mine(seqs, Fraction(1), 1)
+        mined = mine(seqs, Fraction(1), 1).pattern
         assert emit_pattern(mined) == "(A)->(B)->(C)"
         assert support(seqs, mined) == 1
 
     def test_self_consistency_all_columns(self, plot_corpora):
         for seqs in plot_corpora.values():
-            mined = mine(seqs, Fraction(3, 5), 2)
+            mined = mine(seqs, Fraction(3, 5), 2).pattern
             assert support(seqs, mined) >= Fraction(3, 5)
 
     def test_anchor_frequencies_against_brute_force(self, plot_corpora):
         # start anchor of the battle column is its modal first symbol
         firsts = [s[0] for s in plot_corpora["battle"]]
         modal = max(set(firsts), key=firsts.count)
-        mined = mine(plot_corpora["battle"], Fraction(3, 5), 2)
+        mined = mine(plot_corpora["battle"], Fraction(3, 5), 2).pattern
         assert mined.elements[0] == modal
 
     def test_interior_from_anchor_conforming_sequences_only(self):
         # Y is in 2 of the 3 sequences that end on S, but in only 2 of 5
         # overall; taking it makes the linear candidate fall short.
         seqs = [["A", "K", "Y", "S"]] * 2 + [["A", "K", "S"]] + [["A", "B"]] * 2
-        assert emit_pattern(mine(seqs, Fraction(3, 5), 1)) == "(A)~>(S)"
+        assert emit_pattern(mine(seqs, Fraction(3, 5), 1).pattern) == "(A)~>(S)"
 
     def test_mining_failed(self):
         # 4 distinct first symbols, max_alt 1, threshold 1.0
@@ -501,6 +501,13 @@ def mining_corpus(draw):
                         Fraction(3, 5), Fraction(4, 5), 1)),
        st.integers(1, 3))
 def test_mine_equals_loop_oracle(seqs, min_support, max_alt):
+    # mine hands back the support it counted and the threshold it applied.
     expected = _outcome(loop_mine, seqs, min_support, max_alt)
-    assert _outcome(mine, seqs, min_support, max_alt) == expected
-    assert _outcome(mine, [tuple(s) for s in seqs], min_support, max_alt) == expected
+    for form in (seqs, [tuple(s) for s in seqs]):
+        mined = _outcome(mine, form, min_support, max_alt)
+        if not isinstance(mined, paradigm.Mined):
+            assert mined == expected
+            continue
+        assert mined.pattern == expected
+        assert mined.support == loop_support(seqs, expected)
+        assert mined.min_support == Fraction(min_support).limit_denominator(10**6)
