@@ -14,6 +14,7 @@ A function sequence is a plain ``list`` of symbols.  Every path stores
 the registry's own string objects: no sequence owns a string per token.
 """
 
+import hashlib
 import json
 import re
 from collections import namedtuple
@@ -131,12 +132,28 @@ def extract_symbols(text):
     return []
 
 
+def read_lines(path):
+    """One read: the lines of *path* and ``{path: digest}`` of its bytes.
+    ``\\r\\n`` and ``\\r`` become ``\\n`` (no UTF-8 sequence holds either byte), a
+    leading BOM goes, and lines split at ``\\n`` alone, not at ``\\x0c`` padding."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    inputs = {path: hashlib.sha256(data).hexdigest()[:16]}
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        line_no = data[:exc.start].count(b"\n") + 1
+        raise MalformedRecord(line_no, f"not UTF-8: {exc.reason}") from exc
+    del data  # not held while the text is split
+    return text.split("\n"), inputs
+
+
 def load_sequences(lines):
     """Read one hyphen sequence per line into a list of symbol lists; blank
     lines and # comments are skipped, and an unknown symbol names its line.
-    A file's lines split at "\\n" alone: ``str.splitlines()`` also splits at
-    padding such as ``\\x0c``.  Bare symbol lines are read in one pass."""
-    lines = list(lines)
+    Bare symbol lines are read in one pass."""
+    lines = lines if isinstance(lines, list) else list(lines)  # read twice
     try:
         return [list(map(taxonomy.CANONICAL.__getitem__, line.split("-")))
                 for line in lines if line]
@@ -174,7 +191,8 @@ def segment_from_record(record, strict=False):
         annotations = []
         for item in record.get("annotations", []):
             symbol = taxonomy.parse_symbol(_string(item, "symbol"))
-            offset = int(item["offset"])
+            if type(offset := item["offset"]) is not int:  # bool is an int subclass
+                raise TypeError(f"offset is {type(offset).__name__}, not an int")
             if not 0 <= offset <= len(clean_text):
                 raise ValueError(f"offset {offset} outside clean text")
             annotations.append(Annotation(offset, symbol))

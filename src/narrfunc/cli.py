@@ -3,7 +3,7 @@
 Subcommands tie the library into reproducible workflows; every report
 opens with a provenance header (tool version, effective settings, input
 digests) so each number can be traced to its inputs.  Each input is read
-once (:func:`_read`), and the header digests the bytes that were parsed.
+once (:func:`annotation.read_lines`); the header digests the bytes parsed.
 Each ``cmd_*`` builds and returns its report and writes nothing;
 :func:`main` writes it through :func:`_emit`.  Each command imports the
 layers it runs.  All input is checked before the first byte goes out;
@@ -13,7 +13,6 @@ error, 3 analytic failure, 4 backend unreachable.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -32,20 +31,6 @@ EXIT_PIPE = 1
 EXIT_INPUT = 2
 EXIT_ANALYTIC = 3
 EXIT_BACKEND = 4
-
-
-def _read(path):
-    """One read: the text, with text mode's newlines (no UTF-8 sequence holds
-    ``\r`` or ``\n``) and no leading BOM, and ``{path: digest}`` of the bytes."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    inputs = {path: hashlib.sha256(data).hexdigest()[:16]}
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    try:
-        return data.decode("utf-8").removeprefix("\ufeff"), inputs
-    except UnicodeDecodeError as exc:
-        line_no = data[:exc.start].count(b"\n") + 1
-        raise MalformedRecord(line_no, f"not UTF-8: {exc.reason}") from exc
 
 
 def _header(command, settings, inputs):
@@ -127,8 +112,8 @@ def _text_lines(obj, indent=""):
 def _load_config_file(path, keys):
     """``key=value`` lines; a key outside *keys* or given twice is malformed."""
     settings = {}
-    text, _ = _read(path)
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    lines, _ = annotation.read_lines(path)
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -170,19 +155,19 @@ def cmd_registry(args):
 
 
 def cmd_parse(args):
+    lines, inputs = annotation.read_lines(args.input)
     if args.format == "seq":
-        seqs, inputs = _load_seq_file(args.input)
+        seqs = annotation.load_sequences(lines)
         return {
             "header": _header("parse", {"format": "seq"}, inputs),
             "sequences": ["-".join(s) for s in seqs],
             "count": len(seqs),
         }
-    elif args.format == "jsonl":
-        text, inputs = _read(args.input)
-        segments = annotation.load_corpus(text.split("\n"), strict=args.strict)
+    header = _header("parse", {"format": args.format, "strict": args.strict}, inputs)
+    if args.format == "jsonl":
+        segments = annotation.load_corpus(lines, strict=args.strict)
         return {
-            "header": _header("parse", {"format": "jsonl", "strict": args.strict},
-                              inputs),
+            "header": header,
             "segments": [
                 {"id": s.id, "genre": s.genre,
                  "sequence": "-".join(annotation.sequence_of(s)),
@@ -191,31 +176,29 @@ def cmd_parse(args):
             ],
             "count": len(segments),
         }
-    else:  # inline: whole file is one segment, blank line splits segments
-        text, inputs = _read(args.input)
-        chunks = [c for c in text.removesuffix("\n").split("\n\n") if c.strip()]
-        segments = []
-        for i, chunk in enumerate(chunks, start=1):
-            clean, anns = annotation.parse_inline(chunk, strict=args.strict)
-            segments.append({
-                "id": f"{args.input}:{i}",
-                "sequence": "-".join(a.symbol for a in anns),
-                "annotations": len(anns),
-                "chars": len(clean),
-            })
-        return {
-            "header": _header("parse", {"format": "inline", "strict": args.strict},
-                              inputs),
-            "segments": segments,
-            "count": len(segments),
-            "total_annotations": sum(s["annotations"] for s in segments),
-        }
+    # inline: whole file is one segment, blank line splits segments
+    chunks = [c for c in "\n".join(lines).removesuffix("\n").split("\n\n") if c.strip()]
+    segments = []
+    for i, chunk in enumerate(chunks, start=1):
+        clean, anns = annotation.parse_inline(chunk, strict=args.strict)
+        segments.append({
+            "id": f"{args.input}:{i}",
+            "sequence": "-".join(a.symbol for a in anns),
+            "annotations": len(anns),
+            "chars": len(clean),
+        })
+    return {
+        "header": header,
+        "segments": segments,
+        "count": len(segments),
+        "total_annotations": sum(s["annotations"] for s in segments),
+    }
 
 
 def cmd_stats(args):
     from . import homogenization
-    text, inputs = _read(args.corpus)
-    segments = annotation.load_corpus(text.split("\n"), strict=args.strict)
+    lines, inputs = annotation.read_lines(args.corpus)
+    segments = annotation.load_corpus(lines, strict=args.strict)
     if not segments:
         print("warning: empty corpus", file=sys.stderr)
     if args.windows:
@@ -243,9 +226,7 @@ def cmd_stats(args):
 
 
 def _load_seq_file(path):  # the one .seq reader: (sequences, {path: digest})
-    text, inputs = _read(path)
-    lines = text.split("\n")
-    del text  # not held while the sequences are built
+    lines, inputs = annotation.read_lines(path)
     return annotation.load_sequences(lines), inputs
 
 
@@ -295,8 +276,8 @@ class _FailedRequests(Exception):
 
 def cmd_eval(args):
     from . import harness
-    text, inputs = _read(args.corpus)
-    segments = annotation.load_corpus(text.split("\n"))
+    lines, inputs = annotation.read_lines(args.corpus)
+    segments = annotation.load_corpus(lines)
     resolved = _resolved(args, ["endpoint", "model"])
     cfg = harness.BackendConfig(
         kind=args.backend, endpoint=resolved["endpoint"],

@@ -104,27 +104,30 @@ class MockBackend:
 
 
 class ReplayBackend:
-    """Serves responses recorded as {request_digest, response_text} JSONL."""
+    """Serves responses recorded as {request_digest, response_text} JSONL,
+    read by :func:`annotation.read_lines`, so a bad byte names its line."""
 
     def __init__(self, path):
-        self._responses = {}
         try:
-            with open(path, encoding="utf-8-sig") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        record = json.loads(line)
-                        text = record["response_text"]
-                        if not isinstance(text, (str, type(None))):
-                            raise TypeError(f"response_text is {type(text).__name__}")
-                        self._responses[record["request_digest"]] = text
-                    except (KeyError, TypeError, ValueError) as exc:
-                        raise MalformedRecord(
-                            line_no, "not a JSON object with request_digest and "
-                            f"response_text: {exc!r}") from exc
+            lines, _ = annotation.read_lines(path)
         except OSError as exc:
             raise BackendUnreachable(f"cannot read replay fixtures: {exc}") from exc
+        self._responses = {}
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                text = record["response_text"]
+                if not isinstance(text, (str, type(None))):
+                    raise TypeError(f"response_text is {type(text).__name__}")
+                if not isinstance(digest := record["request_digest"], str):
+                    raise TypeError(f"request_digest is {type(digest).__name__}")
+                self._responses[digest] = text
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedRecord(
+                    line_no, "not a JSON object with request_digest and "
+                    f"response_text: {exc!r}") from exc
 
     def complete(self, payload):
         digest = request_digest(payload)

@@ -393,6 +393,16 @@ class TestLoadSequences:
         assert annotation.load_sequences(["A-Q-S\n", "\n", "Em-Ch"]) == [
             ["A", "Q", "S"], ["Em", "Ch"]]
 
+    # A list is read as it is; a one-shot iterator is copied once, so the
+    # per-line loop still sees every line after the one-pass read gave up.
+    @pytest.mark.parametrize("make", [list, iter], ids=["list", "iterator"])
+    @pytest.mark.parametrize("lines", [["A-Q-S", "", "Em-Ch"],
+                                       ["A-Q-S", "# comment", "", " Em-Ch "]],
+                             ids=["bare", "comment-padding"])
+    def test_list_or_iterator(self, make, lines):
+        assert annotation.load_sequences(make(lines)) == [
+            ["A", "Q", "S"], ["Em", "Ch"]]
+
 
 def _record(i, genre="Fantasy", text="开场(A)结尾(S)"):
     return json.dumps({"id": f"s{i}", "genre": genre, "text": text},
@@ -467,9 +477,18 @@ class TestLoadCorpus:
         ('{"id": "s", "genre": "Urban", "clean_text": "abcd", '
          '"annotations": [{"offset": 1, "symbol": ["Q"]}]}',
          "symbol is list, not a string"),
+        ('{"id": "s", "genre": "Urban", "clean_text": "abcd", '
+         '"annotations": [{"offset": 2.9, "symbol": "Q"}]}',
+         "offset is float, not an int"),
+        ('{"id": "s", "genre": "Urban", "clean_text": "abcd", '
+         '"annotations": [{"offset": "3", "symbol": "Q"}]}',
+         "offset is str, not an int"),
+        ('{"id": "s", "genre": "Urban", "clean_text": "abcd", '
+         '"annotations": [{"offset": true, "symbol": "Q"}]}',
+         "offset is bool, not an int"),
     ], ids=["offset-past-clean-text", "offset-form-unknown-symbol", "not-an-object",
             "genre-list", "genre-null", "text-number", "clean-text-list",
-            "offset-form-symbol-list"])
+            "offset-form-symbol-list", "offset-float", "offset-string", "offset-bool"])
     def test_bad_record_names_its_line(self, record, reason):
         with pytest.raises(MalformedRecord) as exc_info:
             load_corpus([_record(1), record])

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import codecs
 import hashlib
@@ -601,6 +602,29 @@ def test_each_input_is_opened_once(case, capsys, monkeypatch):
     assert opened.count(name) == 1
 
 
+def _opens_a_file(node):
+    """A call of the builtin open, by that name or as ``io.open``/``builtins.open``."""
+    func = getattr(node, "func", None)
+    return (isinstance(func, ast.Name) and func.id == "open"
+            or isinstance(func, ast.Attribute) and func.attr == "open"
+            and isinstance(func.value, ast.Name) and func.value.id in ("io", "builtins"))
+
+
+def test_one_reader_opens_every_file():
+    # Command inputs, --config and replay fixtures are all read by
+    # annotation.read_lines, so they share its newlines, BOM and UTF-8 errors.
+    callers = []
+    for path in sorted((SRC / "narrfunc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = {}  # node -> innermost enclosing function (ast.walk goes outside in)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update(dict.fromkeys(ast.walk(node), node.name))
+        callers += [f"{path.stem}.{scope.get(node, '<module>')}"
+                    for node in ast.walk(tree) if _opens_a_file(node)]
+    assert callers == ["annotation.read_lines"]
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
 def test_pipe_input_digest_is_of_its_bytes(capsys):
     data = (DATA / "plots_battle.seq").read_bytes()
@@ -651,16 +675,25 @@ def test_leading_bom_is_ignored(case, tmp_path, capsys, monkeypatch):
     assert reports[0] == reports[1]
 
 
+# Command -> (input lines with a bad byte on line 3, argv naming the input "{}").
+UTF8_CASES = {
+    "match": ([b"A-Q-S", b"A-K-Q-O", b"A-\xff-S"], ["match", "{}"]),
+    "config": ([b"# settings", b"model = demo", b"endpoint = \xff"],
+               ["eval", "--corpus", str(DATA / CORPUS), "--config", "{}"]),
+    "replay": ([b'{"request_digest": "d0", "response_text": "A"}', b"",
+                b'{"request_digest": "d1", "response_text": "\xff"}'],
+               ["eval", "--corpus", str(DATA / CORPUS), "--backend", "replay",
+                "--replay-path", "{}"]),
+}
+
+
 @pytest.mark.parametrize("prefix", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-@pytest.mark.parametrize("command", ["match", "config"])
+@pytest.mark.parametrize("command", sorted(UTF8_CASES))
 def test_invalid_utf8_names_its_line(command, newline, prefix, tmp_path, capsys):
-    lines = ([b"A-Q-S", b"A-K-Q-O", b"A-\xff-S"] if command == "match" else
-             [b"# settings", b"model = demo", b"endpoint = \xff"])
+    lines, argv = UTF8_CASES[command]
     path = tmp_path / "input"
     path.write_bytes(prefix + newline.join(lines) + newline)
-    argv = (["match", str(path)] if command == "match" else
-            ["eval", "--corpus", str(DATA / CORPUS), "--config", str(path)])
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *[a.format(path) for a in argv])
     assert (code, out) == (cli.EXIT_INPUT, "")
     assert err == "error: malformed record on line 3: not UTF-8: invalid start byte\n"

@@ -68,6 +68,9 @@ def _matrix():
         "error_empty_file": ["match", "{tmp}/empty.seq"],
         "error_unknown_last_symbol": ["match", "{tmp}/unknown_last.seq"],
         "error_seq_not_utf8": ["match", "{tmp}/not_utf8.seq"],
+        "error_replay_not_utf8": [
+            "eval", "--corpus", CORPUS, "--backend", "replay",
+            "--replay-path", "{tmp}/not_utf8_replay.jsonl"],
         "error_corpus_strict_token": [
             "parse", "{tmp}/strict_token.jsonl", "--format", "jsonl", "--strict"],
         "error_corpus_unknown_symbol": ["stats", "{tmp}/unknown_symbol.jsonl"],
@@ -208,6 +211,8 @@ def write_inputs(tmp):
         "empty.seq": "",
         "unknown_last.seq": "A-Q-S\nA-Q-Zz\n",
         "not_utf8.seq": b"A-Q-S\r\nA-\xff-S\r\nA-Q-O\r\n",
+        "not_utf8_replay.jsonl": b'{"request_digest": "d0", "response_text": "A"}\n'
+                                 b'{"request_digest": "d1", "response_text": "\xff"}\n',
         "strict_token.jsonl": '{"id": "a", "genre": "Urban", "text": "x(A)y(S)"}\n'
                               '{"id": "b", "genre": "Urban", "text": "x(ok)y(S)"}\n',
         "unknown_symbol.jsonl": '{"id": "a", "genre": "Urban", "clean_text": "xy", '

@@ -207,7 +207,8 @@ class TestReplayRecognition:
         ('"d1"', None),
         ('{"request_digest": {"d": 1}, "response_text": "x"}', None),
         ('{"request_digest": "d1", ', "JSONDecodeError"),
-        ('{"request_digest": "d1", "response_text": 5}', "response_text is int")])
+        ('{"request_digest": "d1", "response_text": 5}', "response_text is int"),
+        ('{"request_digest": 5, "response_text": "x"}', "request_digest is int")])
     def test_malformed_fixture_line(self, tmp_path, line, mentioned):
         path = tmp_path / "replay.jsonl"
         path.write_text('{"request_digest": "d0", "response_text": "A"}\n'
