@@ -18,7 +18,6 @@ import os
 import sys
 from collections import Counter
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring
 
@@ -110,9 +109,10 @@ def _text_lines(obj, indent=""):
 
 
 def _load_config_file(path, keys):
-    """``key=value`` lines; a key outside *keys* or given twice is malformed."""
+    """``key=value`` lines, and ``{path: digest}``; a key outside *keys* or
+    given twice is malformed."""
     settings = {}
-    lines, _ = annotation.read_lines(path)
+    lines, inputs = annotation.read_lines(path)
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -127,19 +127,20 @@ def _load_config_file(path, keys):
         if key in settings:
             raise MalformedRecord(line_no, f"key {key!r} given twice")
         settings[key] = value.strip()
-    return settings
+    return settings, inputs
 
 
 def _resolved(args, keys):
-    """flags > env (NARR_<KEY>) > config file."""
-    file_cfg = _load_config_file(args.config, keys) if args.config else {}
+    """flags > env (NARR_<KEY>) > config file; and the config file's
+    ``{path: digest}``."""
+    file_cfg, inputs = _load_config_file(args.config, keys) if args.config else ({}, {})
     resolved = {}
     for key in keys:
         flag = getattr(args, key, None)
         env = os.environ.get(f"NARR_{key.upper()}")
         resolved[key] = flag if flag is not None else (
             env if env is not None else file_cfg.get(key))
-    return resolved
+    return resolved, inputs
 
 
 def cmd_registry(args):
@@ -236,6 +237,8 @@ def _support_fields(frac):
 
 
 def cmd_match(args):
+    from fractions import Fraction
+
     from . import paradigm
     seqs, inputs = _load_seq_file(args.sequences)
     if args.pattern:
@@ -278,7 +281,7 @@ def cmd_eval(args):
     from . import harness
     lines, inputs = annotation.read_lines(args.corpus)
     segments = annotation.load_corpus(lines)
-    resolved = _resolved(args, ["endpoint", "model"])
+    resolved, config_inputs = _resolved(args, ["endpoint", "model"])
     cfg = harness.BackendConfig(
         kind=args.backend, endpoint=resolved["endpoint"],
         model_name=resolved["model"], timeout=args.timeout,
@@ -291,7 +294,7 @@ def cmd_eval(args):
         "backend": cfg.kind, "rounds": args.rounds,
         "preds_per_round": args.preds, "seed": args.seed,
         "model": cfg.model_name or "default",
-    }, inputs)
+    }, {**inputs, **config_inputs, **result.inputs})
     if args.output_format == "json":
         return {
             "header": header,

@@ -49,8 +49,9 @@ DEFAULT_CONTINUATION_TEMPLATE = (
 BackendConfig = namedtuple(
     "BackendConfig", "kind endpoint model_name timeout max_parallel replay_path",
     defaults=(None, None, 30.0, 1, None))
-# report: a metrics.EvaluationReport; errors: one dict per failed request
-RecognitionResult = namedtuple("RecognitionResult", "report errors requests")
+# report: a metrics.EvaluationReport; errors: one dict per failed request;
+# inputs: {path: digest} of the files the backend read (a replay fixture)
+RecognitionResult = namedtuple("RecognitionResult", "report errors requests inputs")
 
 
 def functions_block():
@@ -109,7 +110,7 @@ class ReplayBackend:
 
     def __init__(self, path):
         try:
-            lines, _ = annotation.read_lines(path)
+            lines, self.inputs = annotation.read_lines(path)
         except OSError as exc:
             raise BackendUnreachable(f"cannot read replay fixtures: {exc}") from exc
         self._responses = {}
@@ -266,7 +267,8 @@ def run_recognition(cfg, segments, rounds=10, preds_per_round=5, seed=0):
     report = metrics.aggregate(
         [[scored(r * preds_per_round + p) for p in range(preds_per_round)]
          for r in range(rounds)])
-    return RecognitionResult(report=report, errors=errors, requests=len(tasks))
+    return RecognitionResult(report=report, errors=errors, requests=len(tasks),
+                             inputs=getattr(backend, "inputs", {}))
 
 
 def run_continuation(cfg, preface, n_episodes=5, seed=0):

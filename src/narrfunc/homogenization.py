@@ -11,15 +11,18 @@ distance is Myers' bit-vector algorithm (JACM 1999) in Hyyrö's 2001
 global-distance form, and LCS length is the Allison–Dix (IPL 1986)
 recurrence as given by Hyyrö (2004).  The longer sequence is the bit
 pattern, held as one position mask per symbol, and the shorter one is
-scanned, so a pair of lengths m >= n costs O(⌈m/w⌉·n) word operations
-for a machine word of w bits.  :func:`analyze_episodes` builds each
-episode's masks once and reuses them for every pair.
+scanned.  As in Hyyrö, Fredriksson & Navarro (ACM JEA 10, 2005), one int
+can hold many patterns: :func:`analyze_episodes` packs every episode into
+one layout of blocks, each followed by a zero guard bit that stops carries
+and shifts at the block's edge, and scans each episode once against all
+longer ones.  That is one interpreter step per symbol of each scanned
+episode, plus Σ m·n / w word operations over all pairs of lengths m, n
+for a machine word of w bits.
 """
 
 import math
 import random
 from collections import Counter, namedtuple
-from fractions import Fraction
 
 from . import taxonomy
 from .annotation import AnnotatedSegment, Annotation
@@ -55,56 +58,80 @@ def _position_masks(seq):
     return masks
 
 
-def _edit_kernel(m, masks, text):
-    """Levenshtein distance between an m-symbol pattern and ``text``.
+def _layout(seqs):
+    """Pack *seqs* into one pattern: ``masks`` ORs each one's
+    :func:`_position_masks` shifted to its block, a zero guard bit follows
+    each block, ``full`` marks block bits, ``low`` each block's lowest bit,
+    and ``blocks`` lists each ``(start, m)``."""
+    masks, full, low, blocks, start = {}, 0, 0, [], 0
+    for seq in seqs:
+        for symbol, mask in _position_masks(seq).items():
+            masks[symbol] = masks.get(symbol, 0) | mask << start
+        full |= ((1 << len(seq)) - 1) << start
+        low |= 1 << start
+        blocks.append((start, len(seq)))
+        start += len(seq) + 1
+    return masks, full, low, blocks
 
-    ``masks`` is the pattern's :func:`_position_masks`.  ``pv``/``mv``
-    hold the +1/-1 vertical deltas of the current DP column, one bit per
-    pattern position.  The top row of the global DP grows by one per
-    column, hence the 1 shifted into ``ph``; the final distance is the
-    top-row value ``len(text)`` plus the column's deltas.
+
+def _bits(x, start, m):
+    """Number of set bits of *x* in the m-bit block at *start*."""
+    return ((x >> start) & ((1 << m) - 1)).bit_count()
+
+
+def _edit_kernel(masks, full, low, blocks, text):
+    """Levenshtein distance between ``text`` and each block of a :func:`_layout`.
+
+    ``pv``/``mv`` hold the +1/-1 vertical deltas of the current DP column.
+    The global DP's top row grows by one per column, hence ``| low``, which
+    also overwrites the bit a shift moves into a block from below; a block's
+    distance is ``len(text)`` plus its deltas.  Guard bits take carries and
+    bits shifted out, and ``^ full`` complements without negative ints.
     """
-    full = (1 << m) - 1
     pv, mv = full, 0
     get = masks.get
     for symbol in text:
         eq = get(symbol, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = ((mv | ~(xh | pv)) << 1) | 1
+        ph = ((mv | ((xh | pv) ^ full)) << 1) | low
         mh = (pv & xh) << 1
-        pv = (mh | ~(xv | ph)) & full
+        pv = (mh | ((xv | ph) ^ full)) & full
         mv = ph & xv
-    return len(text) + pv.bit_count() - mv.bit_count()
+    return [len(text) + _bits(pv, s, m) - _bits(mv, s, m) for s, m in blocks]
 
 
-def _lcs_kernel(m, masks, text):
-    """LCS length of an m-symbol pattern and ``text``.
+def _lcs_kernel(masks, full, low, blocks, text):
+    """LCS length of ``text`` and each block of a :func:`_layout`.
 
-    ``masks`` is the pattern's :func:`_position_masks`.  The zero bits
-    of ``v`` mark the pattern positions where the current DP column
-    steps up by one, so their count is the LCS length.
+    The zero bits of ``v`` mark where the current DP column steps up by
+    one, so a block's count of them is its LCS length.  Guard bits take
+    the carries of ``+``; ``u`` lies inside ``v``, so ``v - u`` never
+    borrows.  ``low`` is unused: the LCS DP's top row is all zeros.
     """
-    full = (1 << m) - 1
     v = full
     get = masks.get
     for symbol in text:
         u = v & get(symbol, 0)
         v = ((v + u) | (v - u)) & full
-    return m - v.bit_count()
+    return [m - _bits(v, s, m) for s, m in blocks]
 
 
-def _run(kernel, a, b, masks_a=None, masks_b=None):
-    """Apply a kernel with the longer of ``a``/``b`` as the bit pattern.
+def _method(method):
+    """*method*'s kernel, and its similarity of (result, longer length)."""
+    if method == EDIT:
+        return _edit_kernel, lambda distance, longest: 1 - distance / longest
+    if method == LCS:
+        return _lcs_kernel, lambda lcs, longest: lcs / longest
+    raise ValueError(f"unknown similarity method {method!r}")
 
-    ``masks_a``/``masks_b`` are the sequences' position masks when the
-    caller already has them; missing ones are built on demand.
-    """
+
+def _run(kernel, a, b):
+    """Apply a kernel with the longer of ``a``/``b`` as a one-block layout."""
     if len(a) < len(b):
-        a, b, masks_a = b, a, masks_b
-    if masks_a is None:
-        masks_a = _position_masks(a)
-    return kernel(len(a), masks_a, b)
+        a, b = b, a
+    [result] = kernel(*_layout([a]), b)
+    return result
 
 
 def edit_distance(a, b):
@@ -117,21 +144,13 @@ def lcs_length(a, b):
     return _run(_lcs_kernel, a, b)
 
 
-def _similarity(method, a, b, masks_a=None, masks_b=None):
-    longest = max(len(a), len(b))
-    if method == EDIT:
-        return 1 - _run(_edit_kernel, a, b, masks_a, masks_b) / longest
-    if method == LCS:
-        return _run(_lcs_kernel, a, b, masks_a, masks_b) / longest
-    raise ValueError(f"unknown similarity method {method!r}")
-
-
 def seq_similarity(a, b, method=EDIT):
     """Similarity in [0, 1]; 1.0 iff the symbol lists are identical."""
     a, b = list(a), list(b)
     if not a or not b:
         raise EmptySequence("similarity needs two nonempty sequences")
-    return _similarity(method, a, b)
+    kernel, similarity = _method(method)
+    return similarity(_run(kernel, a, b), max(len(a), len(b)))
 
 
 def _modal_fraction(symbols):
@@ -139,22 +158,26 @@ def _modal_fraction(symbols):
 
 
 def analyze_episodes(episode_set, method=EDIT):
-    """Pairwise similarity plus marker-consistency and diversity summaries."""
+    """Pairwise similarity plus marker-consistency and diversity summaries;
+    one scan per episode covers all later ones of a shortest-first layout."""
     episodes = [list(e) for e in episode_set.episodes]
     if len(episodes) < 2:
         raise TooFewEpisodes("need at least 2 episodes")
     if any(not e for e in episodes):
         raise EmptySequence("episodes must be nonempty")
+    kernel, similarity = _method(method)
     n = len(episodes)
-    masks = [_position_masks(e) for e in episodes]
+    order = sorted(range(n), key=lambda k: len(episodes[k]))
+    masks, full, low, blocks = _layout([episodes[k] for k in order])
     matrix = [[1.0] * n for _ in range(n)]
-    upper = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            sim = _similarity(method, episodes[i], episodes[j],
-                              masks[i], masks[j])
-            matrix[i][j] = matrix[j][i] = sim
-            upper.append(sim)
+    for t, i in enumerate(order[:-1]):
+        base = blocks[t + 1][0]
+        later = [(s - base, m) for s, m in blocks[t + 1:]]
+        results = kernel({s: x >> base for s, x in masks.items()}, full >> base,
+                         low >> base, later, episodes[i])
+        for j, (_, m), result in zip(order[t + 1:], later, results):
+            matrix[i][j] = matrix[j][i] = similarity(result, m)
+    upper = [matrix[i][j] for i in range(n) for j in range(i + 1, n)]
     pooled = [s for e in episodes for s in e]
     counts = Counter(pooled)
     entropy = -sum(
@@ -173,16 +196,15 @@ def analyze_episodes(episode_set, method=EDIT):
 def frequency_profile(seqs):
     """Pool symbol counts and split them at the mean frequency.
 
-    A symbol is common iff its count strictly exceeds total/34; the
-    comparison is exact rational arithmetic, never rounded floats.
+    A symbol is common iff its count strictly exceeds total/34, compared
+    exactly in ints as ``count * 34 > total``, never as rounded floats.
     """
     counts = {s: 0 for s in taxonomy.SYMBOLS}
     for seq in seqs:
         for symbol in seq:
             counts[symbol] += 1
     total = sum(counts.values())
-    threshold = Fraction(total, len(counts))
-    common = frozenset(s for s, c in counts.items() if c > threshold)
+    common = frozenset(s for s, c in counts.items() if c * len(counts) > total)
     rare = frozenset(taxonomy.SYMBOLS) - common
     return FrequencyProfile(counts=counts, total=total,
                             common_set=common, rare_set=rare)

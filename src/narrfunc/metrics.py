@@ -11,7 +11,6 @@ each reply against its own segment's gold, as if scoring the concatenation.
 """
 
 from collections import Counter, namedtuple
-from fractions import Fraction
 from itertools import compress
 from operator import eq
 
@@ -131,7 +130,10 @@ def _mean(values):
 
 
 def cohen_kappa(labels_a, labels_b):
-    """Cohen's kappa over two aligned label lists."""
+    """Cohen's kappa over two aligned label lists.  With p_o = agree/n and
+    p_e = chance/n², kappa is (agree·n - chance) / (n·n - chance) in ints;
+    int true division is correctly rounded, so the float is the exact
+    rational's."""
     if len(labels_a) != len(labels_b):
         raise LengthMismatch(f"{len(labels_a)} vs {len(labels_b)} labels")
     n = len(labels_a)
@@ -139,11 +141,7 @@ def cohen_kappa(labels_a, labels_b):
         raise EmptyInput("empty label lists")
     agree = sum(1 for a, b in zip(labels_a, labels_b) if a == b)
     counts_a, counts_b = Counter(labels_a), Counter(labels_b)
-    p_o = Fraction(agree, n)
-    p_e = sum(
-        Fraction(counts_a[label], n) * Fraction(counts_b[label], n)
-        for label in counts_a
-    )
-    if p_e == 1:
-        return 1.0 if p_o == 1 else 0.0
-    return float((p_o - p_e) / (1 - p_e))
+    chance = sum(counts_a[label] * counts_b[label] for label in counts_a)
+    if chance == n * n:
+        return 1.0 if agree == n else 0.0
+    return (agree * n - chance) / (n * n - chance)

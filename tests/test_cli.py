@@ -469,7 +469,15 @@ class TestEntryPoint:
     def test_homog_leaves_out_unused_layers(self):
         assert self._loaded_by(["homog", "episodes_qwen.seq"], [
             "narrfunc.harness", "narrfunc.metrics", "narrfunc.paradigm",
+            "fractions", "decimal",
             "narrfunc.homogenization"]) == "['narrfunc.homogenization']\n"
+
+    def test_eval_leaves_out_unused_layers(self):
+        assert self._loaded_by([
+            "eval", "--corpus", "recognition_corpus.jsonl", "--rounds", "1",
+            "--preds", "1"], [
+            "narrfunc.homogenization", "narrfunc.paradigm", "fractions",
+            "decimal", "narrfunc.harness"]) == "['narrfunc.harness']\n"
 
     def test_match_leaves_out_unused_layers(self):
         assert self._loaded_by(["match", "plots_battle.seq"], [
@@ -600,6 +608,35 @@ def test_each_input_is_opened_once(case, capsys, monkeypatch):
                          "--output-format", "json")
     assert code == cli.EXIT_OK
     assert opened.count(name) == 1
+
+
+def test_eval_header_lists_every_file_read(tmp_path, capsys, monkeypatch):
+    # A replay run's numbers depend on the fixture's bytes, and --config can
+    # set the model: the header digests both beside the corpus, each file
+    # read once.
+    for var in ("NARR_ENDPOINT", "NARR_MODEL"):
+        monkeypatch.delenv(var, raising=False)
+    files = {CORPUS: (DATA / CORPUS).read_bytes(), "narr.cfg": b"model = demo\n",
+             "replay.jsonl": b'{"request_digest": "d0", "response_text": "A"}\n'}
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out, _ = run_cli(capsys, "eval", "--corpus", CORPUS, "--rounds", "1",
+                           "--preds", "1", "--config", "narr.cfg", "--backend",
+                           "replay", "--replay-path", "replay.jsonl",
+                           "--output-format", "json")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["header"]["inputs"] == {
+        name: hashlib.sha256(content).hexdigest()[:16]
+        for name, content in files.items()}
+    assert [opened.count(name) for name in files] == [1, 1, 1]
 
 
 def _opens_a_file(node):

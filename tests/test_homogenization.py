@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from narrfunc import taxonomy
 from narrfunc.annotation import AnnotatedSegment, Annotation, parse_inline
@@ -78,6 +78,65 @@ def episode_lists(draw):
                          max_size=6))
 
 
+# Episode lengths at and around the edges of 64-bit words.
+EDGE_LENGTHS = (1, 63, 64, 65, 127, 128, 129)
+
+
+@st.composite
+def packed_episode_sets(draw):
+    """2-16 episodes over 1, 2 or 34 symbols, lengths short or at a word edge
+    (often tied); sometimes all identical, sometimes one that shares no
+    symbol with the others."""
+    alphabet = draw(st.sampled_from(
+        [taxonomy.SYMBOLS[:1], taxonomy.SYMBOLS[:2], taxonomy.SYMBOLS]))
+    n = draw(st.integers(2, 16))
+    loner = draw(st.booleans()) and len(alphabet) > 1
+    shared = alphabet[:-1] if loner else alphabet
+    lengths = draw(st.lists(st.one_of(st.integers(1, 8), st.sampled_from(EDGE_LENGTHS)),
+                            min_size=n, max_size=n))
+    episodes = [draw(symbol_lists(shared, m, m)) for m in lengths]
+    if draw(st.booleans()):
+        episodes = [episodes[0]] * n
+    elif loner:
+        episodes[draw(st.integers(0, n - 1))] = [alphabet[-1]] * lengths[0]
+    return episodes
+
+
+def edge_episodes(alphabet, seed=0):
+    """One episode at each edge length, plus a tie at 64 and one at 1."""
+    rng = random.Random(seed)
+    return [[rng.choice(alphabet) for _ in range(m)] for m in (*EDGE_LENGTHS, 64, 1)]
+
+
+def expected_matrix(episodes, similarity):
+    """The pairwise matrix and mean of a per-pair loop in i < j order."""
+    n = len(episodes)
+    matrix = [[1.0] * n for _ in range(n)]
+    upper = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = similarity(episodes[i], episodes[j])
+            upper.append(matrix[i][j])
+    return matrix, sum(upper) / len(upper)
+
+
+class TestPackedKernels:
+    @settings(deadline=None, max_examples=30)  # the DP oracle is slow
+    @given(packed_episode_sets(), st.sampled_from(["edit", "lcs"]))
+    @example(edge_episodes(taxonomy.SYMBOLS[:1]), "lcs")
+    @example(edge_episodes(taxonomy.SYMBOLS[:2]), "edit")
+    @example(edge_episodes(taxonomy.SYMBOLS), "lcs")
+    @example([*edge_episodes(taxonomy.SYMBOLS[:2]), ["S"] * 65], "edit")
+    @example([edge_episodes(taxonomy.SYMBOLS)[3]] * 4, "edit")
+    def test_analyze_episodes_equals_pairwise_loop(self, episodes, method):
+        # One scan per episode against a packed layout gives the floats of
+        # one single-pair scan per pair, and of the full DP.
+        report = analyze_episodes(EpisodeSet(episodes), method=method)
+        for similarity in (seq_similarity, oracle_similarity):
+            assert (report.pairwise, report.mean_similarity) == expected_matrix(
+                episodes, lambda a, b: similarity(a, b, method))
+
+
 class TestKernelsAgainstOracles:
     @given(sequence_pairs())
     def test_edit_distance(self, pair):
@@ -98,16 +157,8 @@ class TestKernelsAgainstOracles:
     @given(episode_lists(), st.sampled_from(["edit", "lcs"]))
     def test_analyze_episodes_matrix(self, episodes, method):
         report = analyze_episodes(EpisodeSet(episodes), method=method)
-        n = len(episodes)
-        expected = [[1.0] * n for _ in range(n)]
-        upper = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                sim = oracle_similarity(episodes[i], episodes[j], method)
-                expected[i][j] = expected[j][i] = sim
-                upper.append(sim)
-        assert report.pairwise == expected
-        assert report.mean_similarity == sum(upper) / len(upper)
+        assert (report.pairwise, report.mean_similarity) == expected_matrix(
+            episodes, lambda a, b: oracle_similarity(a, b, method))
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -230,19 +281,18 @@ class TestFrequencyProfile:
         assert profile.common_set == frozenset()
         assert len(profile.rare_set) == 34
 
-    def test_partition_property_random_profiles(self):
-        rng = random.Random(332)
-        for _ in range(1000):
-            weights = [rng.randint(0, 30) for _ in range(34)]
-            seqs = [[s] * w for s, w in zip(taxonomy.SYMBOLS, weights)]
-            profile = frequency_profile(seqs)
-            total = sum(weights)
-            assert profile.total == total
-            for symbol, count in profile.counts.items():
-                expected_common = Fraction(count) > Fraction(total, 34)
-                assert (symbol in profile.common_set) == expected_common
-            assert profile.common_set | profile.rare_set == set(taxonomy.SYMBOLS)
-            assert not profile.common_set & profile.rare_set
+    @given(st.lists(st.integers(0, 400), min_size=34, max_size=34))
+    @example([5] * 34)  # every count equal to the mean: none is common
+    def test_partition_property_random_profiles(self, weights):
+        seqs = [[s] * w for s, w in zip(taxonomy.SYMBOLS, weights)]
+        profile = frequency_profile(seqs)
+        total = sum(weights)
+        assert profile.total == total
+        for symbol, count in profile.counts.items():
+            expected_common = Fraction(count) > Fraction(total, 34)
+            assert (symbol in profile.common_set) == expected_common
+        assert profile.common_set | profile.rare_set == set(taxonomy.SYMBOLS)
+        assert not profile.common_set & profile.rare_set
 
 
 def _novel(novel_id, length=6000, rng=None):

@@ -291,7 +291,33 @@ class TestAggregate:
             aggregate([[]])
 
 
+def oracle_cohen_kappa(labels_a, labels_b):
+    """Kappa in exact rationals, as (p_o - p_e) / (1 - p_e)."""
+    n = len(labels_a)
+    p_o = Fraction(sum(a == b for a, b in zip(labels_a, labels_b)), n)
+    p_e = sum(Fraction(labels_a.count(label), n) * Fraction(labels_b.count(label), n)
+              for label in set(labels_a))
+    if p_e == 1:
+        return 1.0 if p_o == 1 else 0.0
+    return float((p_o - p_e) / (1 - p_e))
+
+
+@st.composite
+def label_pairs(draw):
+    labels = draw(st.sampled_from(["AB", "ABC", "ABCDEFGH"]))
+    n = draw(st.integers(1, 300))
+    return (draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)),
+            draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)))
+
+
 class TestCohenKappa:
+    @given(label_pairs())
+    @example((["A", "A"], ["A", "A"]))
+    @example((["A", "B"], ["B", "A"]))
+    def test_equals_exact_rational(self, pair):
+        # The same float as the exact rational, not merely a close one.
+        assert cohen_kappa(*pair) == oracle_cohen_kappa(*pair)
+
     def test_identical_lists(self):
         assert cohen_kappa(["A", "B", "C", "A"], ["A", "B", "C", "A"]) == 1.0
 
