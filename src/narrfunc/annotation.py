@@ -169,48 +169,25 @@ def load_sequences(lines):
     return seqs
 
 
-def _string(record, field):
-    if not isinstance(value := record[field], str):
-        raise TypeError(f"{field} is {type(value).__name__}, not a string")
+_KINDS = {str: "a string", int: "an int", list: "a list"}
+
+
+def _field(record, name, *kinds):
+    """*record*'s *name*, present and of exactly one of the JSON *kinds*."""
+    if name not in record:
+        raise ValueError(f"{name} is missing")
+    if type(value := record[name]) not in kinds:
+        raise TypeError(f"{name} is {type(value).__name__}, not "
+                        + " or ".join(map(_KINDS.get, kinds)))
     return value
 
 
-def segment_from_record(record, strict=False):
-    """Build a validated segment from one decoded corpus record."""
-    seg_id = record.get("id")
-    if seg_id is None or seg_id == "":
-        raise KeyError("id")
-    raw_genre = _string(record, "genre")
-    genre = _GENRE_ALIASES.get(raw_genre, raw_genre)
-    if genre not in GENRES:
-        raise InvalidGenre(f"unknown genre {raw_genre!r}")
-    if "text" in record:
-        clean_text, annotations = parse_inline(_string(record, "text"), strict=strict)
-    else:
-        clean_text = _string(record, "clean_text")
-        annotations = []
-        for item in record.get("annotations", []):
-            symbol = taxonomy.parse_symbol(_string(item, "symbol"))
-            if type(offset := item["offset"]) is not int:  # bool is an int subclass
-                raise TypeError(f"offset is {type(offset).__name__}, not an int")
-            if not 0 <= offset <= len(clean_text):
-                raise ValueError(f"offset {offset} outside clean text")
-            annotations.append(Annotation(offset, symbol))
-        annotations.sort(key=lambda a: a.offset)
-    return AnnotatedSegment(
-        id=str(seg_id),
-        genre=genre,
-        clean_text=clean_text,
-        annotations=annotations,
-    )
-
-
 def load_corpus(lines, strict=False):
-    """Load segments from a line-delimited JSON stream.
-
-    Each line carries ``id``, ``genre`` and either inline-annotated
-    ``text`` or ``clean_text`` plus an ``annotations`` list.
-    """
+    """Load segments from a line-delimited JSON stream of objects: ``id`` (a
+    nonempty string, or an int read as its decimal string), ``genre``, and
+    inline-annotated ``text`` or ``clean_text`` plus an optional list of
+    ``annotations``, ``{"offset": int, "symbol": str}`` objects.  A field
+    missing or of another JSON type names itself and its line."""
     segments = []
     seen = set()
     for line_no, line in enumerate(lines, start=1):
@@ -219,15 +196,38 @@ def load_corpus(lines, strict=False):
             continue
         try:
             record = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int past the digit limit
             raise MalformedRecord(line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise MalformedRecord(line_no, "record is not an object")
         try:
-            segment = segment_from_record(record, strict=strict)
-        except (KeyError, TypeError, ValueError, InvalidGenre, UnknownSymbol,
+            if not (seg_id := str(_field(record, "id", str, int))):
+                raise ValueError("id is empty")
+            raw_genre = _field(record, "genre", str)
+            genre = _GENRE_ALIASES.get(raw_genre, raw_genre)
+            if genre not in GENRES:
+                raise InvalidGenre(f"unknown genre {raw_genre!r}")
+            if "text" in record:
+                clean_text, annotations = parse_inline(_field(record, "text", str),
+                                                       strict=strict)
+            else:
+                clean_text = _field(record, "clean_text", str)
+                annotations = []
+                for i, item in enumerate(_field(record, "annotations", list)
+                                         if "annotations" in record else []):
+                    if type(item) is not dict:
+                        raise TypeError(f"annotations[{i}] is {type(item).__name__}, "
+                                        "not an object")
+                    symbol = taxonomy.parse_symbol(_field(item, "symbol", str))
+                    offset = _field(item, "offset", int)
+                    if not 0 <= offset <= len(clean_text):
+                        raise ValueError(f"offset {offset} outside clean text")
+                    annotations.append(Annotation(offset, symbol))
+                annotations.sort(key=lambda a: a.offset)
+        except (TypeError, ValueError, InvalidGenre, UnknownSymbol,
                 ParenthesizedUnknownToken) as exc:
             raise MalformedRecord(line_no, str(exc)) from exc
+        segment = AnnotatedSegment(seg_id, genre, clean_text, annotations)
         if segment.id in seen:
             raise DuplicateId(f"duplicate segment id {segment.id!r} "
                               f"on line {line_no}")

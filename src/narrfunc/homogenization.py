@@ -6,18 +6,18 @@ distance: substituting one narrative function for another is exactly the
 kind of structural change we want to penalize.  An LCS-based variant is
 available for sensitivity checks.
 
-Both measures run on bit-parallel kernels over Python ints: edit
-distance is Myers' bit-vector algorithm (JACM 1999) in Hyyrö's 2001
-global-distance form, and LCS length is the Allison–Dix (IPL 1986)
-recurrence as given by Hyyrö (2004).  The longer sequence is the bit
-pattern, held as one position mask per symbol, and the shorter one is
-scanned.  As in Hyyrö, Fredriksson & Navarro (ACM JEA 10, 2005), one int
-can hold many patterns: :func:`analyze_episodes` packs every episode into
-one layout of blocks, each followed by a zero guard bit that stops carries
-and shifts at the block's edge, and scans each episode once against all
-longer ones.  That is one interpreter step per symbol of each scanned
-episode, plus Σ m·n / w word operations over all pairs of lengths m, n
-for a machine word of w bits.
+Both measures run on bit-parallel kernels over Python ints: edit distance
+is Myers' bit-vector algorithm (JACM 1999) in Hyyrö's 2001 global-distance
+form, and LCS length is the Allison–Dix (IPL 1986) recurrence as given by
+Hyyrö (2004).  The longer sequence is the bit pattern, one int per symbol
+whose bit i is set iff the pattern's i-th symbol is that one, and the
+shorter one is scanned.  As in Hyyrö, Fredriksson & Navarro (ACM JEA 10,
+2005), one int can hold many patterns: :func:`analyze_episodes` packs
+every episode into one layout of blocks, each followed by a zero guard bit
+that stops carries and shifts at the block's edge, and scans each episode
+once against all longer ones.  That is one interpreter step per symbol of
+each scanned episode, plus Σ m·n / w word operations over all pairs of
+lengths m, n for a machine word of w bits.
 """
 
 import math
@@ -50,23 +50,16 @@ class FrequencyProfile(namedtuple("FrequencyProfile",
         return self.total / len(self.counts)
 
 
-def _position_masks(seq):
-    """Map each symbol to an int whose bit i is set iff ``seq[i]`` is it."""
-    masks = {}
-    for i, symbol in enumerate(seq):
-        masks[symbol] = masks.get(symbol, 0) | (1 << i)
-    return masks
-
-
 def _layout(seqs):
-    """Pack *seqs* into one pattern: ``masks`` ORs each one's
-    :func:`_position_masks` shifted to its block, a zero guard bit follows
-    each block, ``full`` marks block bits, ``low`` each block's lowest bit,
-    and ``blocks`` lists each ``(start, m)``."""
+    """Pack *seqs* into one pattern: bit ``start + i`` of ``masks[symbol]``
+    is set iff ``seq[i]`` is *symbol*, for the seq whose block begins at
+    ``start``; a zero guard bit follows each block, ``full`` marks block
+    bits, ``low`` each block's lowest bit, and ``blocks`` lists each
+    ``(start, m)``."""
     masks, full, low, blocks, start = {}, 0, 0, [], 0
     for seq in seqs:
-        for symbol, mask in _position_masks(seq).items():
-            masks[symbol] = masks.get(symbol, 0) | mask << start
+        for i, symbol in enumerate(seq, start):
+            masks[symbol] = masks.get(symbol, 0) | 1 << i
         full |= ((1 << len(seq)) - 1) << start
         low |= 1 << start
         blocks.append((start, len(seq)))
@@ -124,33 +117,6 @@ def _method(method):
     if method == LCS:
         return _lcs_kernel, lambda lcs, longest: lcs / longest
     raise ValueError(f"unknown similarity method {method!r}")
-
-
-def _run(kernel, a, b):
-    """Apply a kernel with the longer of ``a``/``b`` as a one-block layout."""
-    if len(a) < len(b):
-        a, b = b, a
-    [result] = kernel(*_layout([a]), b)
-    return result
-
-
-def edit_distance(a, b):
-    """Unit-cost Levenshtein distance over symbol lists."""
-    return _run(_edit_kernel, a, b)
-
-
-def lcs_length(a, b):
-    """Length of a longest common subsequence of two symbol lists."""
-    return _run(_lcs_kernel, a, b)
-
-
-def seq_similarity(a, b, method=EDIT):
-    """Similarity in [0, 1]; 1.0 iff the symbol lists are identical."""
-    a, b = list(a), list(b)
-    if not a or not b:
-        raise EmptySequence("similarity needs two nonempty sequences")
-    kernel, similarity = _method(method)
-    return similarity(_run(kernel, a, b), max(len(a), len(b)))
 
 
 def _modal_fraction(symbols):

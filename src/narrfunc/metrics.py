@@ -36,14 +36,9 @@ MetricSummary = namedtuple("MetricSummary", "mean std")
 EvaluationReport = namedtuple("EvaluationReport", "common rare sum")
 
 
-def classify_split(symbol):
-    """Common/rare assignment; anything outside DEFAULT_COMMON is rare."""
-    return COMMON if symbol in DEFAULT_COMMON else RARE
-
-
 def gold_instances(symbols):
-    """Build gold instances from an ordered symbol list."""
-    return [GoldInstance(s, classify_split(s)) for s in symbols]
+    """Gold instances of an ordered symbol list; outside DEFAULT_COMMON is rare."""
+    return [GoldInstance(s, COMMON if s in DEFAULT_COMMON else RARE) for s in symbols]
 
 
 def _ratio(num, den):

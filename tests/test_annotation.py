@@ -1,8 +1,9 @@
 import json
 import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from narrfunc import annotation, cli, paradigm, taxonomy
 from narrfunc.annotation import (
@@ -409,6 +410,48 @@ def _record(i, genre="Fantasy", text="开场(A)结尾(S)"):
                       ensure_ascii=False)
 
 
+_MISSING = object()  # a deleted field
+_INLINE = {"id": "s", "genre": "Urban", "text": "x(A)y"}
+_OFFSET = {"id": "s", "genre": "Urban", "clean_text": "xy",
+           "annotations": [{"offset": 0, "symbol": "A"}]}
+# Field -> a valid record holding it (offset and symbol in its one item).
+_BASE_RECORDS = {"id": _INLINE, "genre": _INLINE, "text": _INLINE,
+                 "clean_text": _OFFSET, "annotations": _OFFSET,
+                 "offset": _OFFSET, "symbol": _OFFSET}
+# Every JSON type: null, bool, int, float, string, list, object.
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 3), st.integers(), st.floats(),
+    st.sampled_from(["", "s", "A", "Q", "Urban", "City", "x(K)y", "x(Zz)"]),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.none(), st.integers(), st.text(max_size=2)), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _documented_segment(field, value):
+    """The segment that the documented record rules give for the base record
+    of *field* with *field* set to *value* (or deleted), or None if the
+    rules reject it."""
+    kind = type(value)
+    if field == "id" and (kind is str and value or kind is int):
+        return AnnotatedSegment(str(value), "Urban", "xy", [Annotation(1, "A")])
+    if field == "genre" and kind is str:
+        genre = {"City": "Urban", "Time travel": "TimeTravel",
+                 "Time Travel": "TimeTravel"}.get(value, value)
+        if genre in annotation.GENRES:
+            return AnnotatedSegment("s", genre, "xy", [Annotation(1, "A")])
+    if field == "text" and kind is str:
+        return AnnotatedSegment("s", "Urban", *parse_inline(value))
+    if field == "clean_text" and kind is str:
+        return AnnotatedSegment("s", "Urban", value, [Annotation(0, "A")])
+    if field == "annotations" and (value is _MISSING or value == []):
+        return AnnotatedSegment("s", "Urban", "xy", [])
+    if field == "symbol" and kind is str and value in taxonomy.SYMBOLS:
+        return AnnotatedSegment("s", "Urban", "xy", [Annotation(0, value)])
+    if field == "offset" and kind is int and 0 <= value <= 2:
+        return AnnotatedSegment("s", "Urban", "xy", [Annotation(value, "A")])
+    return None
+
+
 class TestLoadCorpus:
     def test_well_formed(self):
         segs = load_corpus([_record(1), _record(2)])
@@ -439,6 +482,14 @@ class TestLoadCorpus:
         with pytest.raises(MalformedRecord) as exc_info:
             load_corpus([_record(1), "{not json"])
         assert exc_info.value.line_no == 2
+
+    def test_oversized_int_names_its_line(self):
+        # json.loads raises a plain ValueError past the int digit limit.
+        record = '{"id": %s, "genre": "Urban", "text": "x"}' % ("1" * 5000)
+        with pytest.raises(MalformedRecord) as exc_info:
+            load_corpus([_record(1), record])
+        assert exc_info.value.line_no == 2
+        assert exc_info.value.reason.startswith("invalid JSON: ")
 
     def test_missing_id(self):
         with pytest.raises(MalformedRecord):
@@ -486,13 +537,76 @@ class TestLoadCorpus:
         ('{"id": "s", "genre": "Urban", "clean_text": "abcd", '
          '"annotations": [{"offset": true, "symbol": "Q"}]}',
          "offset is bool, not an int"),
+        ('{"id": [], "genre": "Urban", "text": "x"}',
+         "id is list, not a string or an int"),
+        ('{"id": {"a": 1}, "genre": "Urban", "text": "x"}',
+         "id is dict, not a string or an int"),
+        ('{"id": true, "genre": "Urban", "text": "x"}',
+         "id is bool, not a string or an int"),
+        ('{"id": 2.5, "genre": "Urban", "text": "x"}',
+         "id is float, not a string or an int"),
+        ('{"id": null, "genre": "Urban", "text": "x"}',
+         "id is NoneType, not a string or an int"),
+        ('{"genre": "Urban", "text": "x"}', "id is missing"),
+        ('{"id": "", "genre": "Urban", "text": "x"}', "id is empty"),
+        ('{"id": "s", "text": "x"}', "genre is missing"),
+        ('{"id": "s", "genre": "Urban"}', "clean_text is missing"),
+        ('{"id": "s", "genre": "Urban", "clean_text": "ab", "annotations": ""}',
+         "annotations is str, not a list"),
+        ('{"id": "s", "genre": "Urban", "clean_text": "ab", "annotations": {}}',
+         "annotations is dict, not a list"),
+        ('{"id": "s", "genre": "Urban", "clean_text": "ab", "annotations": 5}',
+         "annotations is int, not a list"),
+        ('{"id": "s", "genre": "Urban", "clean_text": "ab", "annotations": [5]}',
+         "annotations[0] is int, not an object"),
+        ('{"id": "s", "genre": "Urban", "clean_text": "ab", '
+         '"annotations": [{"symbol": "Q"}]}', "offset is missing"),
+        ('{"id": "s", "genre": "Urban", "clean_text": "ab", '
+         '"annotations": [{"offset": 1}]}', "symbol is missing"),
     ], ids=["offset-past-clean-text", "offset-form-unknown-symbol", "not-an-object",
             "genre-list", "genre-null", "text-number", "clean-text-list",
-            "offset-form-symbol-list", "offset-float", "offset-string", "offset-bool"])
+            "offset-form-symbol-list", "offset-float", "offset-string", "offset-bool",
+            "id-list", "id-object", "id-bool", "id-float", "id-null", "id-missing",
+            "id-empty", "genre-missing", "clean-text-missing", "annotations-string",
+            "annotations-object", "annotations-number", "annotation-item-number",
+            "offset-missing", "symbol-missing"])
     def test_bad_record_names_its_line(self, record, reason):
         with pytest.raises(MalformedRecord) as exc_info:
             load_corpus([_record(1), record])
         assert str(exc_info.value) == f"malformed record on line 2: {reason}"
+
+    @given(st.sampled_from(sorted(_BASE_RECORDS)), _JSON_VALUES | st.just(_MISSING))
+    @example("id", [])
+    @example("id", True)
+    @example("id", 2.5)
+    @example("annotations", "")
+    @example("annotations", {})
+    @example("annotations", 5)
+    @example("annotations", [5])
+    @example("offset", _MISSING)
+    @example("text", _MISSING)
+    def test_each_field_of_each_json_type(self, field, value):
+        # A field replaced by a value of any JSON type, or deleted, gives the
+        # documented segment or an error that names the field.
+        record = json.loads(json.dumps(_BASE_RECORDS[field]))
+        holder = record["annotations"][0] if field in ("offset", "symbol") else record
+        if value is _MISSING:
+            del holder[field]
+        else:
+            holder[field] = value
+        line = json.dumps(record)
+        expected = _documented_segment(field, value)
+        if expected is not None:
+            assert load_corpus([line]) == [expected]
+            return
+        with pytest.raises(MalformedRecord) as exc_info:
+            load_corpus([line])
+        reason = exc_info.value.reason
+        # A record without text is read in the offset form.
+        named = "clean_text" if (field, value) == ("text", _MISSING) else field
+        assert re.search(rf"\b{named}\b", reason), reason
+        assert "object is not" not in reason
+        assert not re.fullmatch(r"'[^']*'", reason)
 
     def test_thousand_entry_corpus(self):
         rng = random.Random(7)

@@ -22,7 +22,9 @@ Regenerate all of them with::
     PYTHONPATH=src python tests/test_golden.py
 
 which prints each file it changed, added or removed, and each changed
-digest.
+digest.  With ``--check`` it writes nothing: it prints each file and
+digest that differs and exits 1 if any does.  The script needs the
+standard library alone, so it runs under interpreters without pytest.
 
 A change that alters a golden byte names each changed file and the
 reason in CHANGES.md.
@@ -38,8 +40,6 @@ import pathlib
 import random
 import sys
 import tempfile
-
-import pytest
 
 from narrfunc import annotation, cli, harness
 
@@ -273,6 +273,75 @@ def bench_digest(name):
             "stderr": hashlib.sha256(err).hexdigest()}
 
 
+def golden_changes():
+    """Compute every golden file and bench digest afresh: ``(files, changes)``,
+    the fresh bytes by file name and one line per file changed, added or
+    removed and per bench digest changed or added."""
+    for var in ("NARR_ENDPOINT", "NARR_MODEL"):
+        os.environ.pop(var, None)
+    os.chdir(DATA)
+    fresh = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        write_inputs(tmp)
+        for name in sorted(CASES):
+            fresh[f"{name}.out"], fresh[f"{name}.err"] = run_case(name, tmp)
+    digests = {}
+    for seed, names in BENCH_SEEDS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            write_bench_inputs(tmp, seed)
+            os.chdir(tmp)
+            digests[str(seed)] = {name: bench_digest(name) for name in names}
+            os.chdir(DATA)
+    old_digests = (json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
+                   if BENCH_DIGESTS.is_file() else {})
+    changes = [f"digest {seed}/{name}: {digest}"
+               for seed, table in digests.items() for name, digest in table.items()
+               if old_digests.get(seed, {}).get(name) != digest]
+    fresh[BENCH_DIGESTS.name] = (json.dumps(digests, indent=2, sort_keys=True)
+                                 + "\n").encode("utf-8")
+    old = {p.name: p.read_bytes() for p in GOLDEN.iterdir()} if GOLDEN.is_dir() else {}
+    for name in sorted(old.keys() | fresh.keys()):
+        if name not in fresh:
+            changes.append(f"removed {name}")
+        elif old.get(name) != fresh[name]:
+            changes.append(f"{'changed' if name in old else 'added'} {name}")
+    return fresh, changes
+
+
+def regenerate():
+    """Rewrite ``tests/golden/`` and print each file changed, added or
+    removed, and each bench digest changed or added."""
+    fresh, changes = golden_changes()
+    for line in changes:
+        print(line)
+    GOLDEN.mkdir(exist_ok=True)
+    for path in GOLDEN.iterdir():
+        if path.name not in fresh:
+            path.unlink()
+    for name, data in fresh.items():
+        (GOLDEN / name).write_bytes(data)
+    print(f"{len(fresh)} files in {GOLDEN}", file=sys.stderr)
+
+
+def check():
+    """Print each golden file and bench digest that differs from a fresh
+    run, and return the exit code: 1 if any does, else 0."""
+    fresh, changes = golden_changes()
+    for line in changes:
+        print(line)
+    print(f"{len(changes)} differences from {GOLDEN}", file=sys.stderr)
+    return 1 if changes else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: python tests/test_golden.py [--check]")
+    sys.exit(check() if sys.argv[1:] else regenerate())
+
+# Below the script's exit: the script runs without pytest.
+import pytest  # noqa: E402
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
@@ -310,45 +379,3 @@ def test_bench_digest(name, seed, bench_inputs, monkeypatch):
 def test_no_stale_golden_files():
     expected = {f"{name}.{ext}" for name in CASES for ext in ("out", "err")}
     assert {p.name for p in GOLDEN.iterdir()} == expected | {BENCH_DIGESTS.name}
-
-
-def regenerate():
-    """Rewrite ``tests/golden/`` and print each file changed, added or
-    removed, and each bench digest changed or added."""
-    for var in ("NARR_ENDPOINT", "NARR_MODEL"):
-        os.environ.pop(var, None)
-    os.chdir(DATA)
-    fresh = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        write_inputs(tmp)
-        for name in sorted(CASES):
-            fresh[f"{name}.out"], fresh[f"{name}.err"] = run_case(name, tmp)
-    digests = {}
-    for seed, names in BENCH_SEEDS.items():
-        with tempfile.TemporaryDirectory() as tmp:
-            write_bench_inputs(tmp, seed)
-            os.chdir(tmp)
-            digests[str(seed)] = {name: bench_digest(name) for name in names}
-            os.chdir(DATA)
-    old_digests = (json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
-                   if BENCH_DIGESTS.is_file() else {})
-    for seed, table in digests.items():
-        for name, digest in table.items():
-            if old_digests.get(seed, {}).get(name) != digest:
-                print(f"digest {seed}/{name}: {digest}")
-    fresh[BENCH_DIGESTS.name] = (json.dumps(digests, indent=2, sort_keys=True)
-                                 + "\n").encode("utf-8")
-    GOLDEN.mkdir(exist_ok=True)
-    old = {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
-    for name in sorted(old.keys() | fresh.keys()):
-        if name not in fresh:
-            (GOLDEN / name).unlink()
-            print(f"removed {name}")
-        elif old.get(name) != fresh[name]:
-            (GOLDEN / name).write_bytes(fresh[name])
-            print(f"{'changed' if name in old else 'added'} {name}")
-    print(f"{len(fresh)} files in {GOLDEN}", file=sys.stderr)
-
-
-if __name__ == "__main__":
-    regenerate()

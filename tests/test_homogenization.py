@@ -10,12 +10,13 @@ from narrfunc import taxonomy
 from narrfunc.annotation import AnnotatedSegment, Annotation, parse_inline
 from narrfunc.homogenization import (
     EpisodeSet,
+    _edit_kernel,
+    _layout,
+    _lcs_kernel,
+    _method,
     analyze_episodes,
-    edit_distance,
     frequency_profile,
-    lcs_length,
     sample_windows,
-    seq_similarity,
 )
 from narrfunc.errors import EmptySequence, InsufficientNovels, TooFewEpisodes
 
@@ -51,6 +52,18 @@ def oracle_similarity(a, b, method):
     if method == "edit":
         return 1 - oracle_edit_distance(a, b) / longest
     return oracle_lcs_length(a, b) / longest
+
+
+def one_block(a, b, method="edit"):
+    """*method*'s production kernel and float expression on one pair: the
+    longer of *a*, *b* as a one-block layout, the other one scanned.
+    Returns the edit distance or LCS length, and the similarity (None if
+    both are empty)."""
+    kernel, similarity = _method(method)
+    if len(a) < len(b):
+        a, b = b, a
+    [result] = kernel(*_layout([a]), b)
+    return result, similarity(result, len(a)) if a else None
 
 
 # Two- and three-symbol alphabets make matches dense; the full registry
@@ -132,27 +145,29 @@ class TestPackedKernels:
         # One scan per episode against a packed layout gives the floats of
         # one single-pair scan per pair, and of the full DP.
         report = analyze_episodes(EpisodeSet(episodes), method=method)
-        for similarity in (seq_similarity, oracle_similarity):
+        for similarity in (lambda a, b: one_block(a, b, method)[1],
+                           lambda a, b: oracle_similarity(a, b, method)):
             assert (report.pairwise, report.mean_similarity) == expected_matrix(
-                episodes, lambda a, b: similarity(a, b, method))
+                episodes, similarity)
 
 
 class TestKernelsAgainstOracles:
     @given(sequence_pairs())
     def test_edit_distance(self, pair):
         a, b = pair
-        assert edit_distance(a, b) == oracle_edit_distance(a, b)
+        assert _method("edit")[0] is _edit_kernel
+        assert one_block(a, b, "edit")[0] == oracle_edit_distance(a, b)
 
     @given(sequence_pairs())
     def test_lcs_length(self, pair):
         a, b = pair
-        assert lcs_length(a, b) == oracle_lcs_length(a, b)
+        assert _method("lcs")[0] is _lcs_kernel
+        assert one_block(a, b, "lcs")[0] == oracle_lcs_length(a, b)
 
     @given(sequence_pairs(min_size=1), st.sampled_from(["edit", "lcs"]))
     def test_seq_similarity(self, pair, method):
         a, b = pair
-        assert seq_similarity(a, b, method=method) == \
-            oracle_similarity(a, b, method)
+        assert one_block(a, b, method)[1] == oracle_similarity(a, b, method)
 
     @given(episode_lists(), st.sampled_from(["edit", "lcs"]))
     def test_analyze_episodes_matrix(self, episodes, method):
@@ -167,34 +182,30 @@ class TestKernelsAgainstOracles:
 
 class TestSeqSimilarity:
     def test_identical(self):
-        assert seq_similarity(["A", "K"], ["A", "K"]) == 1.0
+        assert one_block(["A", "K"], ["A", "K"])[1] == 1.0
 
     def test_single_substitution(self):
         a = ["A", "J", "E", "Lo", "M", "N", "O"]
         b = ["A", "J", "E", "Q", "M", "N", "O"]
         assert oracle_edit_distance(a, b) == 1
-        assert seq_similarity(a, b) == pytest.approx(6 / 7)
+        assert one_block(a, b)[1] == pytest.approx(6 / 7)
 
     def test_fully_disjoint(self):
-        assert seq_similarity(["A", "B", "C"], ["X", "Y", "Z"]) == 0.0
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptySequence):
-            seq_similarity([], ["A"])
+        assert one_block(["A", "B", "C"], ["X", "Y", "Z"])[1] == 0.0
 
     def test_lcs_variant(self):
-        assert seq_similarity(["A", "B", "C"], ["A", "X", "C"],
-                              method="lcs") == pytest.approx(2 / 3)
-        assert lcs_length(["A", "B", "C", "D"], ["B", "D"]) == 2
+        assert one_block(["A", "B", "C"], ["A", "X", "C"],
+                         "lcs")[1] == pytest.approx(2 / 3)
+        assert one_block(["A", "B", "C", "D"], ["B", "D"], "lcs")[0] == 2
 
     @given(st.lists(st.sampled_from(taxonomy.SYMBOLS), min_size=1, max_size=8),
            st.lists(st.sampled_from(taxonomy.SYMBOLS), min_size=1, max_size=8))
     def test_symmetry_bounds_and_oracle(self, a, b):
-        assert edit_distance(a, b) == oracle_edit_distance(a, b)
-        sim = seq_similarity(a, b)
-        assert sim == seq_similarity(b, a)
+        distance, sim = one_block(a, b)
+        assert distance == oracle_edit_distance(a, b)
+        assert sim == one_block(b, a)[1]
         assert 0.0 <= sim <= 1.0
-        assert seq_similarity(a, a) == 1.0
+        assert one_block(a, a)[1] == 1.0
 
 
 class TestAnalyzeEpisodes:

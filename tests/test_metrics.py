@@ -10,7 +10,6 @@ from narrfunc.metrics import (
     Prediction,
     SplitMetrics,
     aggregate,
-    classify_split,
     cohen_kappa,
     gold_instances,
     score_instances,
@@ -125,8 +124,7 @@ def test_split_metrics_equal_exact_rationals(case):
 
 class TestSplitAssignment:
     def test_attested_defaults(self):
-        assert classify_split("K") == "common"
-        assert classify_split("De") == "rare"
+        assert [g.split for g in gold_instances(["K", "De"])] == ["common", "rare"]
 
     def test_passage_split_sizes(self):
         gold = gold_instances(PASSAGE_SYMBOLS)
