@@ -1,17 +1,18 @@
-"""Inline annotation parsing and corpus loading.
+"""Inline annotation parsing, and the loaders of every line file.
 
 The annotation convention marks each narrative function with its symbol
 in brackets directly after the text realizing it, e.g. ``...寻找出路(K)。``.
 Both ASCII ``(K)`` and full-width ``（K）`` brackets occur in the wild
 (source texts freely mix the two, even within one marker), so parsing
 accepts any combination while emission normalizes to ASCII.  A model
-reply is read for its bracketed registry symbols alone.
-
-Offsets are counted in Unicode code points of the *clean* text, i.e. the
-text with every recognized marker removed.
+reply is read for its bracketed registry symbols alone.  Offsets are
+counted in Unicode code points of the *clean* text, i.e. the text with
+every recognized marker removed.
 
 A function sequence is a plain ``list`` of symbols.  Every path stores
 the registry's own string objects: no sequence owns a string per token.
+One loop reads every line file (corpus, ``.seq``, replay, config): blank
+lines are skipped everywhere, ``#`` comments only in ``.seq`` and config.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ from .errors import (
     DuplicateId,
     InvalidGenre,
     MalformedRecord,
+    NarrfuncError,
     ParenthesizedUnknownToken,
     UnknownSymbol,
 )
@@ -149,6 +151,18 @@ def read_lines(path):
     return text.split("\n"), inputs
 
 
+def _each_line(lines, parse, comments=False):
+    """``parse`` of each stripped line read, in a list; a bad line names itself."""
+    parsed = []
+    for line_no, line in enumerate(lines, start=1):
+        if (s := line.strip()) and not (comments and s.startswith("#")):
+            try:
+                parsed.append(parse(s))
+            except (TypeError, ValueError, NarrfuncError) as exc:
+                raise MalformedRecord(line_no, str(exc)) from exc
+    return parsed
+
+
 def load_sequences(lines):
     """Read one hyphen sequence per line into a list of symbol lists; blank
     lines and # comments are skipped, and an unknown symbol names its line.
@@ -158,18 +172,20 @@ def load_sequences(lines):
         return [list(map(taxonomy.CANONICAL.__getitem__, line.split("-")))
                 for line in lines if line]
     except KeyError:  # slow path: padding, a comment or an unknown symbol
-        seqs = []
-    for line_no, line in enumerate(lines, start=1):
-        s = line.strip()
-        if s and not s.startswith("#"):
-            try:
-                seqs.append(parse_sequence_string(s))
-            except UnknownSymbol as exc:
-                raise MalformedRecord(line_no, str(exc)) from exc
-    return seqs
+        return _each_line(lines, parse_sequence_string, comments=True)
 
 
-_KINDS = {str: "a string", int: "an int", list: "a list"}
+_KINDS = {str: "a string", int: "an int", list: "a list", type(None): "null"}
+
+
+def _json_object(line):
+    try:
+        record = json.loads(line)
+    except ValueError as exc:  # also an int past the digit limit
+        raise ValueError(f"invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise TypeError("record is not an object")
+    return record
 
 
 def _field(record, name, *kinds):
@@ -183,55 +199,65 @@ def _field(record, name, *kinds):
 
 
 def load_corpus(lines, strict=False):
-    """Load segments from a line-delimited JSON stream of objects: ``id`` (a
-    nonempty string, or an int read as its decimal string), ``genre``, and
-    inline-annotated ``text`` or ``clean_text`` plus an optional list of
-    ``annotations``, ``{"offset": int, "symbol": str}`` objects.  A field
-    missing or of another JSON type names itself and its line."""
-    segments = []
+    """Load segments from JSONL objects: ``id`` (a nonempty string, or an int
+    read as its decimal string), ``genre``, and inline-annotated ``text`` or
+    ``clean_text`` plus an optional list of ``annotations``, ``{"offset": int,
+    "symbol": str}`` objects.  A bad field or a repeated id names its line."""
     seen = set()
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-        except ValueError as exc:  # also an int past the digit limit
-            raise MalformedRecord(line_no, f"invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise MalformedRecord(line_no, "record is not an object")
-        try:
-            if not (seg_id := str(_field(record, "id", str, int))):
-                raise ValueError("id is empty")
-            raw_genre = _field(record, "genre", str)
-            genre = _GENRE_ALIASES.get(raw_genre, raw_genre)
-            if genre not in GENRES:
-                raise InvalidGenre(f"unknown genre {raw_genre!r}")
-            if "text" in record:
-                clean_text, annotations = parse_inline(_field(record, "text", str),
-                                                       strict=strict)
-            else:
-                clean_text = _field(record, "clean_text", str)
-                annotations = []
-                for i, item in enumerate(_field(record, "annotations", list)
-                                         if "annotations" in record else []):
-                    if type(item) is not dict:
-                        raise TypeError(f"annotations[{i}] is {type(item).__name__}, "
-                                        "not an object")
-                    symbol = taxonomy.parse_symbol(_field(item, "symbol", str))
-                    offset = _field(item, "offset", int)
-                    if not 0 <= offset <= len(clean_text):
-                        raise ValueError(f"offset {offset} outside clean text")
-                    annotations.append(Annotation(offset, symbol))
-                annotations.sort(key=lambda a: a.offset)
-        except (TypeError, ValueError, InvalidGenre, UnknownSymbol,
-                ParenthesizedUnknownToken) as exc:
-            raise MalformedRecord(line_no, str(exc)) from exc
-        segment = AnnotatedSegment(seg_id, genre, clean_text, annotations)
-        if segment.id in seen:
-            raise DuplicateId(f"duplicate segment id {segment.id!r} "
-                              f"on line {line_no}")
-        seen.add(segment.id)
-        segments.append(segment)
-    return segments
+    def segment(line):
+        record = _json_object(line)
+        if not (seg_id := str(_field(record, "id", str, int))):
+            raise ValueError("id is empty")
+        raw_genre = _field(record, "genre", str)
+        genre = _GENRE_ALIASES.get(raw_genre, raw_genre)
+        if genre not in GENRES:
+            raise InvalidGenre(f"unknown genre {raw_genre!r}")
+        if "text" in record:
+            clean_text, annotations = parse_inline(_field(record, "text", str),
+                                                   strict=strict)
+        else:
+            clean_text = _field(record, "clean_text", str)
+            annotations = []
+            for i, item in enumerate(_field(record, "annotations", list)
+                                     if "annotations" in record else []):
+                if type(item) is not dict:
+                    raise TypeError(f"annotations[{i}] is {type(item).__name__}, "
+                                    "not an object")
+                symbol = taxonomy.parse_symbol(_field(item, "symbol", str))
+                offset = _field(item, "offset", int)
+                if not 0 <= offset <= len(clean_text):
+                    raise ValueError(f"offset {offset} outside clean text")
+                annotations.append(Annotation(offset, symbol))
+            annotations.sort(key=lambda a: a.offset)
+        if seg_id in seen:
+            raise DuplicateId(f"duplicate segment id {seg_id!r}")
+        seen.add(seg_id)
+        return AnnotatedSegment(seg_id, genre, clean_text, annotations)
+    return _each_line(lines, segment)
 
+
+def load_replay(lines):
+    """``{request_digest: response_text}`` from JSONL objects: a string
+    ``request_digest``, a string or null ``response_text``; a later line wins."""
+    def entry(line):
+        record = _json_object(line)
+        return (_field(record, "request_digest", str),
+                _field(record, "response_text", str, type(None)))
+    return dict(_each_line(lines, entry))
+
+
+def load_config(lines, keys):
+    """``{key: value}`` from ``key=value`` lines; a key outside *keys* or
+    given twice is malformed."""
+    settings = {}
+    def setting(line):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError("expected key=value")
+        if (key := key.strip()) not in keys:
+            raise ValueError(f"unknown key {key!r}, expected one of {', '.join(keys)}")
+        if key in settings:
+            raise ValueError(f"key {key!r} given twice")
+        settings[key] = value.strip()
+    _each_line(lines, setting, comments=True)
+    return settings

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring
 
 from . import __version__, annotation, taxonomy
 from .errors import (
-    BackendUnreachable, EmptyCorpus, MalformedRecord, MiningFailed, NarrfuncError)
+    BackendUnreachable, EmptyCorpus, MiningFailed, NarrfuncError)
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -108,32 +108,11 @@ def _text_lines(obj, indent=""):
                 yield f"{indent}- {value}"
 
 
-def _load_config_file(path, keys):
-    """``key=value`` lines, and ``{path: digest}``; a key outside *keys* or
-    given twice is malformed."""
-    settings = {}
-    lines, inputs = annotation.read_lines(path)
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise MalformedRecord(line_no, "expected key=value")
-        key = key.strip()
-        if key not in keys:
-            raise MalformedRecord(
-                line_no, f"unknown key {key!r}, expected one of {', '.join(keys)}")
-        if key in settings:
-            raise MalformedRecord(line_no, f"key {key!r} given twice")
-        settings[key] = value.strip()
-    return settings, inputs
-
-
 def _resolved(args, keys):
     """flags > env (NARR_<KEY>) > config file; and the config file's
     ``{path: digest}``."""
-    file_cfg, inputs = _load_config_file(args.config, keys) if args.config else ({}, {})
+    lines, inputs = annotation.read_lines(args.config) if args.config else ([], {})
+    file_cfg = annotation.load_config(lines, keys)
     resolved = {}
     for key in keys:
         flag = getattr(args, key, None)

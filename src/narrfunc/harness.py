@@ -26,7 +26,7 @@ from collections import namedtuple
 from . import annotation, metrics, taxonomy
 from .annotation import emit_inline, sequence_of
 from .errors import (
-    BackendUnreachable, EmptyCorpus, MalformedRecord, MalformedReply, ReplayMiss)
+    BackendUnreachable, EmptyCorpus, MalformedReply, ReplayMiss)
 
 ENV_API_KEY = "NARR_API_KEY"
 
@@ -105,30 +105,15 @@ class MockBackend:
 
 
 class ReplayBackend:
-    """Serves responses recorded as {request_digest, response_text} JSONL,
-    read by :func:`annotation.read_lines`, so a bad byte names its line."""
+    """Serves a JSONL fixture read by :func:`annotation.load_replay`: a string
+    ``request_digest`` and a string or null ``response_text``; a later line wins."""
 
     def __init__(self, path):
         try:
             lines, self.inputs = annotation.read_lines(path)
         except OSError as exc:
             raise BackendUnreachable(f"cannot read replay fixtures: {exc}") from exc
-        self._responses = {}
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                text = record["response_text"]
-                if not isinstance(text, (str, type(None))):
-                    raise TypeError(f"response_text is {type(text).__name__}")
-                if not isinstance(digest := record["request_digest"], str):
-                    raise TypeError(f"request_digest is {type(digest).__name__}")
-                self._responses[digest] = text
-            except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedRecord(
-                    line_no, "not a JSON object with request_digest and "
-                    f"response_text: {exc!r}") from exc
+        self._responses = annotation.load_replay(lines)
 
     def complete(self, payload):
         digest = request_digest(payload)

@@ -475,8 +475,11 @@ class TestLoadCorpus:
         assert seg.genre == "Urban"
 
     def test_duplicate_id(self):
-        with pytest.raises(DuplicateId):
+        with pytest.raises(MalformedRecord) as exc_info:
             load_corpus([_record(1), _record(1)])
+        assert exc_info.value.line_no == 2
+        assert isinstance(exc_info.value.__cause__, DuplicateId)
+        assert str(exc_info.value) == "malformed record on line 2: duplicate segment id 's1'"
 
     def test_malformed_json(self):
         with pytest.raises(MalformedRecord) as exc_info:

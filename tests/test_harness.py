@@ -1,13 +1,14 @@
 import http.server
 import json
+import re
 import threading
 import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from narrfunc import harness, metrics
+from narrfunc import annotation, harness, metrics
 from narrfunc.annotation import (
     AnnotatedSegment,
     Annotation,
@@ -35,6 +36,7 @@ from narrfunc.harness import (
 )
 
 from conftest import DATA
+from test_annotation import _JSON_VALUES, _MISSING
 from test_metrics import SMALL_ALPHABET, loop_aggregate, loop_score
 
 
@@ -206,9 +208,14 @@ class TestReplayRecognition:
         ('{"request_digest": "d1"}', "response_text"),
         ('"d1"', None),
         ('{"request_digest": {"d": 1}, "response_text": "x"}', None),
-        ('{"request_digest": "d1", ', "JSONDecodeError"),
+        ('{"request_digest": "d1", ', "invalid JSON"),
         ('{"request_digest": "d1", "response_text": 5}', "response_text is int"),
-        ('{"request_digest": 5, "response_text": "x"}', "request_digest is int")])
+        ('{"request_digest": 5, "response_text": "x"}', "request_digest is int"),
+        ('[1]', "record is not an object"),
+        ('"x"', "record is not an object"),
+        ('# a comment', "invalid JSON"),
+        pytest.param('{"request_digest": "d1", "response_text": %s}' % ("1" * 5000),
+                     "invalid JSON: Exceeds the limit", id="5000-digit-response_text")])
     def test_malformed_fixture_line(self, tmp_path, line, mentioned):
         path = tmp_path / "replay.jsonl"
         path.write_text('{"request_digest": "d0", "response_text": "A"}\n'
@@ -216,8 +223,46 @@ class TestReplayRecognition:
         with pytest.raises(MalformedRecord) as exc:
             ReplayBackend(str(path))
         assert exc.value.line_no == 2
+        assert "Error(" not in exc.value.reason
         if mentioned:
             assert mentioned in exc.value.reason
+
+    def test_stripped_lines_and_a_later_line_wins(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        path.write_text('\x0c{"request_digest": "d0", "response_text": "A"}\n\n'
+                        '{"request_digest": "d1", "response_text": null}\u2028\n'
+                        '{"request_digest": "d0", "response_text": "B"}\n',
+                        encoding="utf-8")
+        backend = ReplayBackend(str(path))
+        assert backend._responses == {"d0": "B", "d1": None}
+
+    @given(st.sampled_from(["request_digest", "response_text"]),
+           _JSON_VALUES | st.just(_MISSING))
+    @example("request_digest", _MISSING)
+    @example("request_digest", "d0")
+    @example("response_text", None)
+    @example("response_text", ["A"])
+    @example("response_text", {"A": 1})
+    def test_each_field_of_each_json_type(self, field, value):
+        # A field set to a value of any JSON type, or deleted, loads in the
+        # documented form (a string digest; a string or null text; a later
+        # line wins) or gives an error that names the field.
+        record = {"request_digest": "d1", "response_text": "A"}
+        if value is _MISSING:
+            del record[field]
+        else:
+            record[field] = value
+        lines = ['{"request_digest": "d0", "response_text": "A"}', json.dumps(record)]
+        if type(value) is str or (field, value) == ("response_text", None):
+            assert annotation.load_replay(lines) == {
+                "d0": "A", record["request_digest"]: record["response_text"]}
+            return
+        with pytest.raises(MalformedRecord) as exc_info:
+            annotation.load_replay(lines)
+        reason = exc_info.value.reason
+        assert exc_info.value.line_no == 2
+        assert re.search(rf"\b{field}\b", reason), reason
+        assert "Error(" not in reason and "object is not" not in reason
 
 
 class TestContinuation:
