@@ -7,7 +7,8 @@ Both ASCII ``(K)`` and full-width ``（K）`` brackets occur in the wild
 accepts any combination while emission normalizes to ASCII.  A model
 reply is read for its bracketed registry symbols alone.  Offsets are
 counted in Unicode code points of the *clean* text, i.e. the text with
-every recognized marker removed.
+every recognized marker removed.  Every builder of a segment puts its
+annotations in offset order, and every reader takes them as they are.
 
 A function sequence is a plain ``list`` of symbols.  Every path stores
 the registry's own string objects: no sequence owns a string per token.
@@ -52,6 +53,7 @@ _SYMBOL_RE = re.compile(_BRACKETED % "|".join(
 
 # offset: code-point index into the clean text
 Annotation = namedtuple("Annotation", "offset symbol")
+# annotations: in offset order, as every builder yields them; readers rely on it
 AnnotatedSegment = namedtuple("AnnotatedSegment", "id genre clean_text annotations")
 
 
@@ -96,7 +98,7 @@ def emit_inline(segment):
 
 def sequence_of(segment):
     """The segment's symbols in marker order, duplicates preserved."""
-    return [a.symbol for a in sorted(segment.annotations, key=lambda a: a.offset)]
+    return [a.symbol for a in segment.annotations]
 
 
 def parse_sequence_string(s):
@@ -106,12 +108,8 @@ def parse_sequence_string(s):
         return []
     try:
         return list(map(taxonomy.CANONICAL.__getitem__, s.split("-")))
-    except KeyError:  # slow path: strip padding, report the first unknown token
-        tokens = [raw.strip() for raw in s.split("-")]
-    for i, token in enumerate(tokens):
-        if token not in taxonomy.CANONICAL:
-            raise UnknownSymbol(token, position=i)
-    return list(map(taxonomy.CANONICAL.__getitem__, tokens))
+    except KeyError:  # slow path: strip padding, name the first unknown token
+        return [taxonomy.parse_symbol(t.strip(), i) for i, t in enumerate(s.split("-"))]
 
 
 def extract_symbols(text):

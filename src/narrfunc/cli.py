@@ -4,10 +4,10 @@ Subcommands tie the library into reproducible workflows; every report
 opens with a provenance header (tool version, effective settings, input
 digests) so each number can be traced to its inputs.  Each input is read
 once (:func:`annotation.read_lines`); the header digests the bytes parsed.
-Each ``cmd_*`` builds and returns its report and writes nothing;
-:func:`main` writes it through :func:`_emit`.  Each command imports the
-layers it runs.  All input is checked before the first byte goes out;
-``match`` streams its rows (:func:`_emit`).
+Each ``cmd_*`` builds and returns its report, which :func:`main` writes
+through :func:`_emit`; it writes nothing itself, save ``stats``' stderr
+``warning: empty corpus``.  Each command imports the layers it runs.  All
+input is checked before the first byte goes out; ``match`` streams its rows.
 Exit codes: 0 success, 1 stdout closed early (``| head``), 2 input/config
 error, 3 analytic failure, 4 backend unreachable.
 """
@@ -195,9 +195,9 @@ def cmd_stats(args):
             for symbol in taxonomy.SYMBOLS)]
     return {
         "header": _header("stats", {
-            "windows": bool(args.windows), "seed": args.seed,
-            "chars": args.chars, "mean": round(profile.mean, 2),
-            "total": profile.total,
+            "windows": bool(args.windows), "groups": args.groups,
+            "per_group": args.per_group, "seed": args.seed, "chars": args.chars,
+            "mean": round(profile.mean, 2), "total": profile.total,
         }, inputs),
         "counts": {s: profile.counts[s] for s in taxonomy.SYMBOLS},
         "common": sorted(profile.common_set),

@@ -81,24 +81,22 @@ def request_digest(payload):
 
 
 class MockBackend:
-    """Answers from local gold data: recognition requests echo the
-    inline-annotated segment, continuation requests produce a canned
-    annotated episode."""
+    """Answers by the request text alone: a segment's clean text gets the
+    segment's inline-annotated echo, and any other text a canned episode
+    that opens with the request's tag and reads ``A-Q-S``."""
 
     def __init__(self, segments=None):
         # One echo per clean text, rendered once; a later segment wins.
         self._echo = {seg.clean_text: emit_inline(seg) for seg in segments or []}
 
     def complete(self, payload):
-        user = payload["messages"][1]["content"]
-        tag = payload.get("tag", "")
-        echo = self._echo.get(user)
-        if echo is not None and not tag.startswith("continuation:"):
+        echo = self._echo.get(payload["messages"][1]["content"])
+        if echo is not None:
             return echo
-        # Continuation request: deterministic synthetic episode following
-        # the stock battle shape, varied by tag for distinct digests.
+        # Any other text: a synthetic episode of the stock battle shape,
+        # varied by tag for distinct digests.
         return (
-            f"[{tag}] The scene opens on the aftermath. (A) "
+            f"[{payload.get('tag', '')}] The scene opens on the aftermath. (A) "
             "The rivals clash once more. (Q) "
             "One of them finally prevails. (S)"
         )
@@ -263,7 +261,7 @@ def run_continuation(cfg, preface, n_episodes=5, seed=0):
 
     Returns ``(episodes, sequences, errors)``; a failed request leaves its
     episode ``None`` and adds one ledger entry instead of raising."""
-    backend = make_backend(cfg, [preface])
+    backend = make_backend(cfg)
     payloads = [
         build_payload(cfg, DEFAULT_CONTINUATION_TEMPLATE, preface.clean_text,
                       f"continuation:seed={seed}:episode={i}")

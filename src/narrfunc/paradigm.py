@@ -5,13 +5,14 @@ last elements anchor the sequence's first and last symbols, interior
 elements must occur in order strictly between them.  ``->`` marks linear
 development and ``~>`` nonlinear development; the distinction matters
 for mining and reporting, not for matching, because nonlinear plots
-share only their initial and terminal markers.  Each pattern is compiled
-to one accepted-symbol set per element; every matcher runs one greedy
-anchored kernel over them, failing fast on the anchors.  ``classify`` runs
-it only on the patterns whose anchors accept a sequence's (first, last)
-pair, found once per distinct pair; ``mine`` counts supports inside the
-anchor-conforming sequences.
-A sequence is any list or tuple of symbols, indexed as given.
+share only their initial and terminal markers.  ``AltSet`` and
+``ParadigmPattern`` check a pattern's shape; ``parse_pattern`` adds the
+position to their message.  Each pattern is compiled to one accepted-symbol
+set per element; every matcher runs one greedy anchored kernel over them,
+failing fast on the anchors.  ``classify`` runs it only on the patterns
+whose anchors accept a sequence's (first, last) pair, found once per
+distinct pair; ``mine`` counts supports inside the anchor-conforming
+sequences.  A sequence is any list or tuple of symbols, indexed as given.
 """
 
 import re
@@ -40,9 +41,9 @@ class AltSet(namedtuple("AltSet", "options")):
 
     def __new__(cls, options):
         if len(options) < 2:
-            raise ValueError("AltSet needs at least 2 options")
+            raise ValueError("alternation needs >= 2 symbols")
         if len(set(options)) != len(options):
-            raise ValueError("AltSet options must be distinct")
+            raise ValueError("alternation options must be distinct")
         return super().__new__(cls, options)
 
     def __str__(self):
@@ -59,7 +60,7 @@ class ParadigmPattern(namedtuple("ParadigmPattern", "elements connectors plot_la
 
     def __new__(cls, elements, connectors, plot_label=None):
         if len(elements) < 2:
-            raise TooFewElements("pattern needs at least 2 elements")
+            raise TooFewElements(f"pattern has {len(elements)} element(s), need >= 2")
         if len(connectors) != len(elements) - 1:
             raise ValueError("connector count must be element count - 1")
         self = super().__new__(cls, elements, connectors, plot_label)
@@ -117,17 +118,14 @@ def parse_pattern(s, plot_label=None):
         else:
             options = tuple(taxonomy.parse_symbol(t.strip())
                             for t in m.group(2).split("/"))
-            if len(options) < 2:
-                raise PatternSyntaxError(m.start(), "alternation needs >= 2 symbols")
-            if len(set(options)) != len(options):
-                raise PatternSyntaxError(m.start(), "alternation options must be distinct")
-            elements.append(AltSet(options))
+            try:
+                elements.append(AltSet(options))
+            except ValueError as exc:  # the shape rule is AltSet's; the position ours
+                raise PatternSyntaxError(m.start(), str(exc)) from None
         expect_element = False
     if expect_element:
         raise PatternSyntaxError(len(s), "dangling connector" if elements
                                  else "empty pattern")
-    if len(elements) < 2:
-        raise TooFewElements(f"pattern has {len(elements)} element(s), need >= 2")
     return ParadigmPattern(tuple(elements), tuple(connectors), plot_label)
 
 

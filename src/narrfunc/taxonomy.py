@@ -152,15 +152,15 @@ _LEGACY = (
 )
 
 
-def parse_symbol(token):
+def parse_symbol(token, position=None):
     """The registry's own string for *token*.
 
-    Matching is whole-token, case-sensitive.  Raises :class:`UnknownSymbol`
-    for anything outside the closed set.
+    Matching is whole-token, case-sensitive.  Anything outside the closed set
+    raises :class:`UnknownSymbol` (at *position*, if given), here alone.
     """
     symbol = CANONICAL.get(token)
     if symbol is None:
-        raise UnknownSymbol(token)
+        raise UnknownSymbol(token, position)
     return symbol
 
 

@@ -464,6 +464,20 @@ class TestLoadCorpus:
         seg = load_corpus([rec])[0]
         assert seg.annotations == [Annotation(2, "Q")]
 
+    def test_annotations_load_in_offset_order(self):
+        # sequence_of and emit_inline take the order the loader set; the
+        # sort is stable, so two markers at one offset keep their listed order.
+        rec = json.dumps({"id": "s1", "genre": "Urban", "clean_text": "abcd",
+                          "annotations": [{"offset": 3, "symbol": "S"},
+                                          {"offset": 2, "symbol": "Q"},
+                                          {"offset": 0, "symbol": "A"},
+                                          {"offset": 2, "symbol": "O"}]})
+        seg = load_corpus([rec])[0]
+        assert seg.annotations == [Annotation(0, "A"), Annotation(2, "Q"),
+                                   Annotation(2, "O"), Annotation(3, "S")]
+        assert sequence_of(seg) == ["A", "Q", "O", "S"]
+        assert emit_inline(seg) == "(A)ab(Q)(O)c(S)d"
+
     def test_invalid_genre(self):
         with pytest.raises(MalformedRecord) as exc_info:
             load_corpus([_record(1), _record(2, genre="SciFi")])

@@ -117,6 +117,18 @@ class TestStats:
         assert err == "warning: empty corpus\n"
         assert sum(json.loads(out)["counts"].values()) == 0
 
+    def test_header_records_the_window_settings(self, capsys):
+        # --groups moves the total, so two runs must differ in the header too.
+        settings = []
+        for groups in ("5", "4"):
+            code, out, _ = run_cli(
+                capsys, "stats", str(DATA / "annotator_a.jsonl"), "--windows",
+                "--groups", groups, "--output-format", "json")
+            assert code == cli.EXIT_OK
+            settings.append(json.loads(out)["header"]["settings"])
+        assert [s["total"] for s in settings] == [20, 16]
+        assert [(s["groups"], s["per_group"]) for s in settings] == [(5, 4), (4, 4)]
+
     def test_windows_zero_groups_is_input_error(self, capsys):
         code, out, err = run_cli(
             capsys, "stats", str(DATA / "recognition_corpus.jsonl"),

@@ -115,12 +115,14 @@ class TestMockEchoTable:
             assert reply == emit_inline(seg)
 
     def test_continuation_tag_gets_canned_episode(self, segments):
-        # run_continuation hands the preface over as a segment, so its text
-        # is in the table; the tag still selects the canned episode.
+        # The text alone decides: a text in the table gets its echo whatever
+        # the tag, and any other text the tagged canned A-Q-S episode.
         backend = harness.MockBackend(segments)
-        reply = backend.complete(self._payload(segments[0].clean_text,
-                                               "continuation:seed=0:episode=0"))
-        assert reply.startswith("[continuation:seed=0:episode=0] ")
+        tag = "continuation:seed=0:episode=0"
+        assert backend.complete(self._payload(segments[0].clean_text, tag)) == \
+            emit_inline(segments[0])
+        reply = backend.complete(self._payload("not in the table", tag))
+        assert reply.startswith(f"[{tag}] ")
         assert extract_symbols(reply) == ["A", "Q", "S"]
 
     def test_last_segment_with_a_shared_text_answers(self):

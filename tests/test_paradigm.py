@@ -98,9 +98,9 @@ class TestParsePattern:
         assert str(exc_info.value) == message
 
     @pytest.mark.parametrize("build, error, message", [
-        (lambda: AltSet(("A",)), ValueError, "AltSet needs at least 2 options"),
+        (lambda: AltSet(("A",)), ValueError, "alternation needs >= 2 symbols"),
         (lambda: ParadigmPattern(("A",), ()), TooFewElements,
-         "pattern needs at least 2 elements"),
+         "pattern has 1 element(s), need >= 2"),
         (lambda: ParadigmPattern(("A", "S"), ()), ValueError,
          "connector count must be element count - 1"),
     ], ids=["one-option", "one-element", "connector-count"])
@@ -113,8 +113,10 @@ class TestParsePattern:
         with pytest.raises(PatternSyntaxError) as exc_info:
             parse_pattern("(A)->{O/O}")
         assert exc_info.value.position == 5
-        with pytest.raises(ValueError):  # direct construction still checks
+        assert exc_info.value.reason == "alternation options must be distinct"
+        with pytest.raises(ValueError) as exc_info:  # AltSet owns the rule
             AltSet(("O", "O"))
+        assert str(exc_info.value) == "alternation options must be distinct"
 
     def test_emit_round_trip(self):
         for text in ["(A)->(Q)->{O/S}", "(Em)~>(Ch)", "(W)->(De)~>(S)"]:
