@@ -4,10 +4,10 @@ The annotation convention marks each narrative function with its symbol
 in brackets directly after the text realizing it, e.g. ``...寻找出路(K)。``.
 Both ASCII ``(K)`` and full-width ``（K）`` brackets occur in the wild
 (source texts freely mix the two, even within one marker), so parsing
-accepts any combination while emission normalizes to ASCII.  A model
-reply is read for its bracketed registry symbols alone.  Offsets are
-counted in Unicode code points of the *clean* text, i.e. the text with
-every recognized marker removed.  Every builder of a segment puts its
+accepts any combination while emission normalizes to ASCII.  One regex
+finds the markers of annotated text and model replies alike.  Offsets
+are counted in Unicode code points of the *clean* text, i.e. the text
+with every recognized marker removed.  Every builder of a segment puts its
 annotations in offset order, and every reader takes them as they are.
 
 A function sequence is a plain ``list`` of symbols.  Every path stores
@@ -40,15 +40,12 @@ _GENRE_ALIASES = {
     "Time Travel": "TimeTravel",
 }
 
-# One bracket grammar: any short token, or a registry symbol (longest first).
+# The one bracket grammar: any short token, kept only if the registry has it.
 # The required closing bracket keeps (C) out of (Ch) and matches apart.
 # It opens with a literal "(", which re finds by a fast literal search, and
 # runs over the text with each "（" read as "(": one code point for one, so
 # match positions and tokens stay as they are.
-_BRACKETED = r"\((%s)[)）]"
-_MARKER_RE = re.compile(_BRACKETED % "[A-Za-z]{1,2}")
-_SYMBOL_RE = re.compile(_BRACKETED % "|".join(
-    sorted(taxonomy.SYMBOLS, key=len, reverse=True)))
+_MARKER_RE = re.compile(r"\(([A-Za-z]{1,2})[)）]")
 
 
 # offset: code-point index into the clean text
@@ -103,13 +100,10 @@ def sequence_of(segment):
 
 def parse_sequence_string(s):
     """Parse hyphen-joined notation such as ``A-Lo-E-Q-P-S`` into a list
-    of registry-interned symbols."""
+    of registry-interned symbols; padding around a token is stripped."""
     if not s.strip():
         return []
-    try:
-        return list(map(taxonomy.CANONICAL.__getitem__, s.split("-")))
-    except KeyError:  # slow path: strip padding, name the first unknown token
-        return [taxonomy.parse_symbol(t.strip(), i) for i, t in enumerate(s.split("-"))]
+    return [taxonomy.parse_symbol(t.strip(), i) for i, t in enumerate(s.split("-"))]
 
 
 def extract_symbols(text):
@@ -119,8 +113,8 @@ def extract_symbols(text):
     the last nonempty line is read as a hyphen sequence (``[]`` if bad).
     """
     text = text or ""
-    symbols = list(map(taxonomy.CANONICAL.__getitem__,
-                       _SYMBOL_RE.findall(text.replace("（", "("))))
+    symbols = list(filter(None, map(taxonomy.CANONICAL.get,
+                                    _MARKER_RE.findall(text.replace("（", "(")))))
     if symbols:
         return symbols
     for line in reversed(text.splitlines()):
@@ -164,12 +158,12 @@ def _each_line(lines, parse, comments=False):
 def load_sequences(lines):
     """Read one hyphen sequence per line into a list of symbol lists; blank
     lines and # comments are skipped, and an unknown symbol names its line.
-    Bare symbol lines are read in one pass."""
+    A file of bare symbol lines and ``#`` comments is read in one pass."""
     lines = lines if isinstance(lines, list) else list(lines)  # read twice
     try:
         return [list(map(taxonomy.CANONICAL.__getitem__, line.split("-")))
-                for line in lines if line]
-    except KeyError:  # slow path: padding, a comment or an unknown symbol
+                for line in lines if line and line[0] != "#"]
+    except KeyError:  # per-line loop: padding or an unknown symbol
         return _each_line(lines, parse_sequence_string, comments=True)
 
 

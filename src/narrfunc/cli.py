@@ -398,7 +398,9 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
     except _FailedRequests as exc:
-        print("\n".join(f"error: {err}" for err in exc.args), file=sys.stderr)
+        for err in exc.args:  # where the request failed, then why
+            print("error: round {round}, prediction {prediction}, segment {segment}: "
+                  "{error}: {detail}".format_map(err), file=sys.stderr)
         return EXIT_BACKEND
     except BackendUnreachable as exc:
         print(f"backend unreachable: {exc}", file=sys.stderr)

@@ -6,12 +6,12 @@ elements must occur in order strictly between them.  ``->`` marks linear
 development and ``~>`` nonlinear development; the distinction matters
 for mining and reporting, not for matching, because nonlinear plots
 share only their initial and terminal markers.  ``AltSet`` and
-``ParadigmPattern`` check a pattern's shape; ``parse_pattern`` adds the
-position to their message.  Each pattern is compiled to one accepted-symbol
-set per element; every matcher runs one greedy anchored kernel over them,
-failing fast on the anchors.  ``classify`` runs it only on the patterns
-whose anchors accept a sequence's (first, last) pair, found once per
-distinct pair; ``mine`` counts supports inside the anchor-conforming
+``ParadigmPattern`` check a pattern's shape and ``taxonomy`` its symbols;
+``parse_pattern`` adds the position.  Each pattern is compiled to one
+accepted-symbol set per element; every matcher runs one greedy anchored
+kernel over them, failing fast on the anchors.  ``classify`` runs it only
+on the patterns whose anchors accept a sequence's (first, last) pair, found
+once per distinct pair; ``mine`` counts supports in the anchor-conforming
 sequences.  A sequence is any list or tuple of symbols, indexed as given.
 """
 
@@ -26,6 +26,7 @@ from .errors import (
     MiningFailed,
     PatternSyntaxError,
     TooFewElements,
+    UnknownSymbol,
 )
 
 LINEAR = "linear"
@@ -113,15 +114,12 @@ def parse_pattern(s, plot_label=None):
             continue
         if not expect_element:
             raise PatternSyntaxError(m.start(), "missing connector")
-        if m.group(1):
-            elements.append(taxonomy.parse_symbol(m.group(1)))
-        else:
-            options = tuple(taxonomy.parse_symbol(t.strip())
-                            for t in m.group(2).split("/"))
-            try:
-                elements.append(AltSet(options))
-            except ValueError as exc:  # the shape rule is AltSet's; the position ours
-                raise PatternSyntaxError(m.start(), str(exc)) from None
+        try:  # the symbol and shape rules are not ours; the position is
+            elements.append(taxonomy.parse_symbol(m.group(1)) if m.group(1) else
+                            AltSet(tuple(taxonomy.parse_symbol(t.strip())
+                                         for t in m.group(2).split("/"))))
+        except (UnknownSymbol, ValueError) as exc:
+            raise PatternSyntaxError(m.start(), str(exc)) from None
         expect_element = False
     if expect_element:
         raise PatternSyntaxError(len(s), "dangling connector" if elements

@@ -25,6 +25,8 @@ from narrfunc.errors import (
 )
 from narrfunc.homogenization import sample_windows
 
+from conftest import DATA
+
 
 class TestParseInline:
     def test_passage1(self, passages):
@@ -353,12 +355,16 @@ _seq_line = st.one_of(
     st.sampled_from(("", "  ", "# comment", " #A-Q-S", *_PADS)))
 
 
+_bare_or_comment_line = st.one_of(
+    _bare_line, st.sampled_from(("#", "# header", "#A-Q-S")))
+
+
 @st.composite
 def seq_file_text(draw):
-    """A ``.seq`` file: bare lines only (the fast path), or any mix of
-    bare, padded, unknown, blank and comment lines, with any line endings
-    and an optional final one."""
-    line = draw(st.sampled_from((_bare_line, _seq_line)))
+    """A ``.seq`` file: bare lines only, or bare and ``#`` lines (both read
+    in one pass), or any mix of bare, padded, unknown, blank and comment
+    lines, with any line endings and an optional final one."""
+    line = draw(st.sampled_from((_bare_line, _bare_or_comment_line, _seq_line)))
     lines = draw(st.lists(st.tuples(line, st.sampled_from(("\n", "\r\n", "\r"))),
                           max_size=8))
     text = "".join(body + end for body, end in lines)
@@ -382,6 +388,21 @@ class TestLoadSequences:
             loaded, _ = cli._load_seq_file(seq_path)
             assert all(type(s) is list for s in loaded)
             assert all(id(x) in registry for s in loaded for x in s)
+
+    def test_shipped_files_are_read_in_one_pass(self, monkeypatch):
+        # Every shipped file opens with a "# ..." header line.
+        paths = sorted(DATA.glob("*.seq"))
+        expected = {}
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                expected[path] = loop_load_sequences(fh)
+
+        def per_line_loop(*args, **kwargs):
+            raise AssertionError("the per-line loop ran")
+        monkeypatch.setattr(annotation, "_each_line", per_line_loop)
+        assert len(paths) == 9
+        for path in paths:
+            assert cli._load_seq_file(path)[0] == expected[path]
 
     def test_lines_break_at_newlines_only(self, tmp_path):
         path = tmp_path / "padded.seq"

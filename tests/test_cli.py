@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -313,7 +314,12 @@ class TestEval:
             "--backend", "replay", "--replay-path", str(empty),
             "--rounds", "1", "--preds", "1", "--fail-on-error")
         assert code == cli.EXIT_BACKEND
-        assert "ReplayMiss" in err
+        assert "{'" not in err  # the ledger reads as text, not a dict repr
+        lines = err.splitlines()
+        assert lines and all(re.fullmatch(
+            r"error: round \d+, prediction \d+, segment \S+: ReplayMiss: "
+            r"no replay fixture for request digest [0-9a-f]{64}", line)
+            for line in lines)
 
     def test_empty_corpus_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

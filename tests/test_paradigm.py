@@ -25,7 +25,6 @@ from narrfunc.errors import (
     MiningFailed,
     PatternSyntaxError,
     TooFewElements,
-    UnknownSymbol,
 )
 
 
@@ -79,8 +78,11 @@ class TestParsePattern:
             parse_pattern("(W)")
 
     def test_unknown_symbol(self):
-        with pytest.raises(UnknownSymbol):
+        # The symbol rule is taxonomy's; the parser adds the position.
+        with pytest.raises(PatternSyntaxError) as exc_info:
             parse_pattern("(A)->(Qx)")
+        assert exc_info.value.position == 5
+        assert exc_info.value.reason == "unknown function symbol 'Qx'"
 
     def test_missing_connector(self):
         with pytest.raises(PatternSyntaxError):
@@ -91,6 +93,9 @@ class TestParsePattern:
         ("->(A)", "pattern syntax error at 0: connector without element"),
         ("(A)->{O}", "pattern syntax error at 5: alternation needs >= 2 symbols"),
         ("", "pattern syntax error at 0: empty pattern"),
+        ("(A)->(Qx)", "pattern syntax error at 5: unknown function symbol 'Qx'"),
+        ("(A)->{O/Qx}", "pattern syntax error at 5: unknown function symbol 'Qx'"),
+        ("(Qx)~>(A)", "pattern syntax error at 0: unknown function symbol 'Qx'"),
     ])
     def test_syntax_error_message(self, text, message):
         with pytest.raises(PatternSyntaxError) as exc_info:
