@@ -10,8 +10,8 @@ are counted in Unicode code points of the *clean* text, i.e. the text
 with every recognized marker removed.  Every builder of a segment puts its
 annotations in offset order, and every reader takes them as they are.
 
-A function sequence is a plain ``list`` of symbols.  Every path stores
-the registry's own string objects: no sequence owns a string per token.
+A function sequence is a ``tuple`` of the registry's own strings on every
+path: it owns no string per token, and the cyclic collector soon untracks it.
 One loop reads every line file (corpus, ``.seq``, replay, config): blank
 lines are skipped everywhere, ``#`` comments only in ``.seq`` and config.
 """
@@ -95,26 +95,26 @@ def emit_inline(segment):
 
 def sequence_of(segment):
     """The segment's symbols in marker order, duplicates preserved."""
-    return [a.symbol for a in segment.annotations]
+    return tuple(a.symbol for a in segment.annotations)
 
 
 def parse_sequence_string(s):
-    """Parse hyphen-joined notation such as ``A-Lo-E-Q-P-S`` into a list
+    """Parse hyphen-joined notation such as ``A-Lo-E-Q-P-S`` into a tuple
     of registry-interned symbols; padding around a token is stripped."""
     if not s.strip():
-        return []
-    return [taxonomy.parse_symbol(t.strip(), i) for i, t in enumerate(s.split("-"))]
+        return ()
+    return tuple(taxonomy.parse_symbol(t.strip(), i) for i, t in enumerate(s.split("-")))
 
 
 def extract_symbols(text):
     """Registry-interned function symbols in free-form model text.
 
     Only bracketed registry symbols are markers, and they win; with none,
-    the last nonempty line is read as a hyphen sequence (``[]`` if bad).
+    the last nonempty line is read as a hyphen sequence (``()`` if bad).
     """
     text = text or ""
-    symbols = list(filter(None, map(taxonomy.CANONICAL.get,
-                                    _MARKER_RE.findall(text.replace("（", "(")))))
+    symbols = tuple(filter(None, map(taxonomy.CANONICAL.get,
+                                     _MARKER_RE.findall(text.replace("（", "(")))))
     if symbols:
         return symbols
     for line in reversed(text.splitlines()):
@@ -122,8 +122,8 @@ def extract_symbols(text):
             try:
                 return parse_sequence_string(line)
             except UnknownSymbol:
-                return []
-    return []
+                return ()
+    return ()
 
 
 def read_lines(path):
@@ -156,12 +156,12 @@ def _each_line(lines, parse, comments=False):
 
 
 def load_sequences(lines):
-    """Read one hyphen sequence per line into a list of symbol lists; blank
+    """Read one hyphen sequence per line into a list of symbol tuples; blank
     lines and # comments are skipped, and an unknown symbol names its line.
     A file of bare symbol lines and ``#`` comments is read in one pass."""
     lines = lines if isinstance(lines, list) else list(lines)  # read twice
     try:
-        return [list(map(taxonomy.CANONICAL.__getitem__, line.split("-")))
+        return [tuple(map(taxonomy.CANONICAL.__getitem__, line.split("-")))
                 for line in lines if line and line[0] != "#"]
     except KeyError:  # per-line loop: padding or an unknown symbol
         return _each_line(lines, parse_sequence_string, comments=True)

@@ -16,9 +16,8 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
-from collections.abc import Iterator
-from itertools import chain, islice
+from collections import Counter, namedtuple
+from itertools import chain, islice, starmap
 from json.encoder import encode_basestring
 
 from . import __version__, annotation, taxonomy
@@ -43,12 +42,14 @@ def _header(command, settings, inputs):
 
 _JSON = dict(sort_keys=True, ensure_ascii=False, indent=2)
 _ROWS_PER_WRITE = 2048
+# Rows {own_key: own, shared_key: item} of (str, item) pairs; rows share items.
+_Rows = namedtuple("_Rows", "own_key shared_key pairs")
 
 
 def _emit(report, fmt, out=None):
     """Write *report*: a list as its lines, a dict as text, or a dict as
-    ``json.dumps(report, **_JSON)`` would with each top-level iterator of
-    flat rows listed by _write_rows."""
+    ``json.dumps(report, **_JSON)`` would with each top-level _Rows a list
+    of its row dicts, written by _write_rows."""
     out = out if out is not None else sys.stdout
     if fmt != "json":
         lines = report if isinstance(report, list) else _text_lines(report)
@@ -56,7 +57,7 @@ def _emit(report, fmt, out=None):
     lead = "{\n  "
     for key in sorted(report):
         out.write(f"{lead}{encode_basestring(key)}: ")
-        if isinstance(report[key], Iterator):
+        if isinstance(report[key], _Rows):
             _write_rows(report[key], out)
         else:  # one level deep; JSON strings hold no raw newline
             out.write(json.dumps(report[key], **_JSON).replace("\n", "\n  "))
@@ -65,42 +66,41 @@ def _emit(report, fmt, out=None):
 
 
 def _write_rows(rows, out):
-    """Write flat rows (dicts of str and str lists) as a JSON list in chunks:
-    a template per key set, a block per distinct list, C-escaped strings."""
-    templates, blocks, lead = {}, {}, "[\n"
+    """Write _Rows as a JSON list in chunks: each row's own C-escaped string
+    inside the text of its shared item, which is rendered once per item.  The
+    cache holds each item it keys by id, so no later object can take that id."""
+    cache, lead, pairs = {}, "[\n", iter(rows.pairs)
 
-    def field(value):
-        if type(value) is str:
-            return encode_basestring(value)
-        if (items := tuple(value)) not in blocks:
-            blocks[items] = "[\n        " + ",\n        ".join(
-                map(encode_basestring, items)) + "\n      ]" if items else "[]"
-        return blocks[items]
+    def around(item):  # the row's text, cut where its own string goes
+        text = ",".join(f"\n      {encode_basestring(k)}: " + ("\0" if k == rows.own_key
+                        else json.dumps(item, **_JSON).replace("\n", "\n      "))
+                        for k in sorted((rows.own_key, rows.shared_key)))
+        return (*f"    {{{text}\n    }}".split("\0"), item)  # JSON holds no raw NUL
 
-    def render(row):
-        if (keys := tuple(row)) not in templates:
-            templates[keys] = sorted(row), "    {" + ",".join(
-                f"\n      {encode_basestring(k).replace('%', '%%')}: %s"
-                for k in sorted(row)) + ("\n    }" if keys else "}")
-        ordered, template = templates[keys]
-        return template % tuple([field(row[k]) for k in ordered])
+    def render(own, item):
+        if (hit := cache.get(id(item))) is None:
+            hit = cache[id(item)] = around(item)
+        return hit[0] + encode_basestring(own) + hit[1]
 
-    while chunk := list(map(render, islice(rows, _ROWS_PER_WRITE))):
+    while chunk := list(starmap(render, islice(pairs, _ROWS_PER_WRITE))):
         out.write(lead + ",\n".join(chunk))
         lead = ",\n"
     out.write("[]" if lead == "[\n" else "\n  ]")
 
 
 def _text_lines(obj, indent=""):
+    if isinstance(obj, _Rows):  # as its row dicts, one at a time
+        own_key, shared_key, pairs = obj
+        obj = ({own_key: own, shared_key: item} for own, item in pairs)
     if isinstance(obj, dict):
         for key in obj:
             value = obj[key]
-            if isinstance(value, (dict, list, Iterator)):
+            if isinstance(value, (dict, list, _Rows)):
                 yield f"{indent}{key}:"
                 yield from _text_lines(value, indent + "  ")
             else:
                 yield f"{indent}{key}: {value}"
-    elif isinstance(obj, (list, Iterator)):
+    else:  # a list, or rows
         for value in obj:
             if isinstance(value, (dict, list)):
                 yield from _text_lines(value, indent + "  ")
@@ -226,7 +226,7 @@ def cmd_match(args):
         patterns = paradigm.builtin_paradigms()
     if not seqs:
         raise EmptyCorpus("support over an empty corpus")
-    # One verdict pass before any output; rows are built as they are written.
+    # One verdict pass before any output; each row shares its label list.
     verdicts = paradigm.classify(seqs, patterns)
     hits = Counter(chain.from_iterable(verdicts))
     supports = {p.plot_label: {"pattern": paradigm.emit_pattern(p),
@@ -235,8 +235,7 @@ def cmd_match(args):
     return {
         "header": _header("match", {"pattern": args.pattern or "builtins"}, inputs),
         "support": supports,
-        "matches": ({"sequence": "-".join(s), "labels": labels}
-                    for s, labels in zip(seqs, verdicts)),
+        "matches": _Rows("sequence", "labels", zip(map("-".join, seqs), verdicts)),
     }
 
 

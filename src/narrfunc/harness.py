@@ -184,8 +184,9 @@ def parse_model_output(text, expected_instances):
     count as extras.  A failed request's ``None`` scores all absent.
     """
     symbols = annotation.extract_symbols(text)
-    per_instance = symbols[:expected_instances]
-    per_instance += [metrics.ABSENT] * (expected_instances - len(per_instance))
+    # One tuple at most: a slice or pad that changes nothing returns symbols.
+    per_instance = (symbols[:expected_instances]
+                    + (metrics.ABSENT,) * (expected_instances - len(symbols)))
     extras = max(0, len(symbols) - expected_instances)
     return metrics.Prediction(per_instance, extras)
 
@@ -256,7 +257,7 @@ def run_recognition(cfg, segments, rounds=10, preds_per_round=5, seed=0):
 
 def run_continuation(cfg, preface, n_episodes=5, seed=0):
     """Generate ``n_episodes`` continuations of the preface and recover a
-    function sequence (a symbol list) from each episode's text with
+    function sequence (a symbol tuple) from each episode's text with
     :func:`annotation.extract_symbols`.
 
     Returns ``(episodes, sequences, errors)``; a failed request leaves its

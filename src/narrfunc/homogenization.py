@@ -32,7 +32,7 @@ EDIT = "edit"
 LCS = "lcs"
 
 
-# episodes: symbol lists, all nonempty, >= 2 of them
+# episodes: symbol sequences (tuples), all nonempty, >= 2 of them; read as given
 EpisodeSet = namedtuple("EpisodeSet", "episodes")
 # pairwise: symmetric matrix, diagonal 1.0
 HomogeneityReport = namedtuple("HomogeneityReport", (
@@ -126,7 +126,7 @@ def _modal_fraction(symbols):
 def analyze_episodes(episode_set, method=EDIT):
     """Pairwise similarity plus marker-consistency and diversity summaries;
     one scan per episode covers all later ones of a shortest-first layout."""
-    episodes = [list(e) for e in episode_set.episodes]
+    episodes = episode_set.episodes
     if len(episodes) < 2:
         raise TooFewEpisodes("need at least 2 episodes")
     if any(not e for e in episodes):

@@ -12,7 +12,7 @@ accepted-symbol set per element; every matcher runs one greedy anchored
 kernel over them, failing fast on the anchors.  ``classify`` runs it only
 on the patterns whose anchors accept a sequence's (first, last) pair, found
 once per distinct pair; ``mine`` counts supports in the anchor-conforming
-sequences.  A sequence is any list or tuple of symbols, indexed as given.
+sequences.  A sequence is a symbol tuple as loaded (a list is read alike).
 """
 
 import re

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from narrfunc import annotation, cli, paradigm, taxonomy
+from narrfunc import annotation, cli, harness, paradigm, taxonomy
 from narrfunc.annotation import (
     AnnotatedSegment,
     Annotation,
@@ -179,21 +179,21 @@ def test_parse_inline_offsets_property(case):
 class TestSequenceOf:
     def test_passages(self, passages):
         for text, expected in zip(passages, (
-                ["K", "J", "K", "De", "E", "Fa", "Lo"],
-                ["A", "Re", "G", "F"])):
+                ("K", "J", "K", "De", "E", "Fa", "Lo"),
+                ("A", "Re", "G", "F"))):
             seg = AnnotatedSegment("x", "Fantasy", *parse_inline(text))
             assert sequence_of(seg) == expected
 
     def test_empty(self):
         seg = AnnotatedSegment("x", "Fantasy", "text", [])
-        assert sequence_of(seg) == []
+        assert sequence_of(seg) == ()
 
 
 def _extract_via_parse_inline(text):
     """Oracle: the full inline parse keeping only the symbols, then the
     same hyphen-line fallback."""
     text = text or ""
-    symbols = [a.symbol for a in parse_inline(text)[1]]
+    symbols = tuple(a.symbol for a in parse_inline(text)[1])
     if symbols:
         return symbols
     for line in reversed(text.splitlines()):
@@ -201,8 +201,8 @@ def _extract_via_parse_inline(text):
             try:
                 return parse_sequence_string(line)
             except UnknownSymbol:
-                return []
-    return []
+                return ()
+    return ()
 
 
 _OPEN, _CLOSE = ("(", "（"), (")", "）")
@@ -222,16 +222,16 @@ _reply_text = st.lists(st.one_of(
 
 class TestExtractSymbols:
     def test_inline_markers_win(self):
-        assert extract_symbols("found it (K)\nA-Q-S") == ["K"]
+        assert extract_symbols("found it (K)\nA-Q-S") == ("K",)
 
     def test_only_the_last_nonempty_line_is_read(self):
-        assert extract_symbols("A-Q-S\nno structure here\n\n") == []
+        assert extract_symbols("A-Q-S\nno structure here\n\n") == ()
 
     @pytest.mark.parametrize("text, expected", [
-        ("(C)(Ch)（Cx）(C）", ["C", "Ch", "C"]),
-        ("((K)(K))(ok)（xq）(注)(Ab)", ["K", "K"]),
-        ("(C h)(Chh)(ok)\nA-Q-S", ["A", "Q", "S"]),
-        (None, []),
+        ("(C)(Ch)（Cx）(C）", ("C", "Ch", "C")),
+        ("((K)(K))(ok)（xq）(注)(Ab)", ("K", "K")),
+        ("(C h)(Chh)(ok)\nA-Q-S", ("A", "Q", "S")),
+        (None, ()),
     ])
     def test_only_bracketed_registry_symbols(self, text, expected):
         assert extract_symbols(text) == expected
@@ -252,11 +252,11 @@ class TestExtractSymbols:
 class TestParseSequenceString:
     def test_episodes_examples(self):
         assert parse_sequence_string("A-Lo-E-Q-P-S") == \
-            ["A", "Lo", "E", "Q", "P", "S"]
+            ("A", "Lo", "E", "Q", "P", "S")
         assert len(parse_sequence_string("A-J-E-Lo-M-N-O")) == 7
 
     def test_whitespace_tolerated(self):
-        assert parse_sequence_string(" A - Lo -E ") == ["A", "Lo", "E"]
+        assert parse_sequence_string(" A - Lo -E ") == ("A", "Lo", "E")
 
     def test_invalid_token(self):
         with pytest.raises(UnknownSymbol) as exc_info:
@@ -265,7 +265,7 @@ class TestParseSequenceString:
         assert exc_info.value.position == 1
 
     def test_blank(self):
-        assert parse_sequence_string("") == []
+        assert parse_sequence_string("") == ()
 
     def test_round_trip(self):
         seq = parse_sequence_string("A-J-E-Q-M-N-O")
@@ -280,8 +280,8 @@ class TestParseSequenceString:
         loaded = annotation.load_sequences(["# header", text, ""])
         for symbols in (parse_sequence_string(text), *loaded,
                         extract_symbols(f"Episode outline:\n{text}\n")):
-            assert type(symbols) is list
-            assert symbols == ["Em", "Lo", "Ch"]
+            assert type(symbols) is tuple
+            assert symbols == ("Em", "Lo", "Ch")
             assert all(id(s) in registry for s in symbols)
 
         inline = "".join(f"文本（{s}）" for s in ("Em", "Lo", "Ch"))
@@ -316,6 +316,43 @@ class TestParseSequenceString:
         assert str(exc_info.value) == ("malformed record on line 4: "
                                        "unknown function symbol 'Qx' at position 1")
         assert isinstance(exc_info.value.__cause__, UnknownSymbol)
+
+
+def _continuation_sequence(text, tmp_path):
+    """run_continuation's sequence of one replayed episode that ends in *text*."""
+    path = tmp_path / "episodes.jsonl"
+    cfg = harness.BackendConfig(kind="replay", replay_path=str(path))
+    payload = harness.build_payload(cfg, harness.DEFAULT_CONTINUATION_TEMPLATE,
+                                    "preface", "continuation:seed=0:episode=0")
+    path.write_text(json.dumps({"request_digest": harness.request_digest(payload),
+                                "response_text": f"The end.\n{text}\n"}))
+    preface = AnnotatedSegment("p", "Urban", "preface", [])
+    return harness.run_continuation(cfg, preface, n_episodes=1)[1][0]
+
+
+_PRODUCERS = {
+    "load_sequences-one-pass": lambda text, _: annotation.load_sequences(
+        ["# header", text])[0],
+    "load_sequences-per-line": lambda text, _: annotation.load_sequences(
+        [f" {text} "])[0],
+    "parse_sequence_string": lambda text, _: parse_sequence_string(text),
+    "sequence_of": lambda text, _: sequence_of(AnnotatedSegment(
+        "s", "Urban", *parse_inline("".join(f"x({s})" for s in text.split("-"))))),
+    "extract_symbols-markers": lambda text, _: extract_symbols(
+        "".join(f"x（{s}）" for s in text.split("-"))),
+    "extract_symbols-hyphen-line": lambda text, _: extract_symbols(f"Outline:\n{text}\n"),
+    "run_continuation": _continuation_sequence,
+}
+
+
+@pytest.mark.parametrize("produce", _PRODUCERS.values(), ids=_PRODUCERS)
+def test_every_producer_returns_a_tuple_of_registry_strings(produce, tmp_path):
+    # Two-letter symbols, split out of a new string: CPython caches one-letter
+    # strings, so those would be the registry's objects anyway.
+    seq = produce("-".join(["Em", "Lo", "Ch"]), tmp_path)
+    assert type(seq) is tuple
+    assert seq == ("Em", "Lo", "Ch")
+    assert all(s is taxonomy.CANONICAL[s] for s in seq)
 
 
 def loop_load_sequences(lines):
@@ -386,7 +423,7 @@ class TestLoadSequences:
         if isinstance(expected, list):
             registry = {id(s) for s in taxonomy.SYMBOLS}
             loaded, _ = cli._load_seq_file(seq_path)
-            assert all(type(s) is list for s in loaded)
+            assert all(type(s) is tuple for s in loaded)
             assert all(id(x) in registry for s in loaded for x in s)
 
     def test_shipped_files_are_read_in_one_pass(self, monkeypatch):
@@ -407,13 +444,13 @@ class TestLoadSequences:
     def test_lines_break_at_newlines_only(self, tmp_path):
         path = tmp_path / "padded.seq"
         path.write_bytes("A-\x0cQ-S\nA-Q\x85-S\r\nA-\u2028Q-S\r".encode("utf-8"))
-        assert cli._load_seq_file(path)[0] == [["A", "Q", "S"]] * 3
+        assert cli._load_seq_file(path)[0] == [("A", "Q", "S")] * 3
 
     def test_file_handle_lines(self):
         # Lines that keep their "\n", as a file object yields them, take the
         # per-line loop and read the same.
         assert annotation.load_sequences(["A-Q-S\n", "\n", "Em-Ch"]) == [
-            ["A", "Q", "S"], ["Em", "Ch"]]
+            ("A", "Q", "S"), ("Em", "Ch")]
 
     # A list is read as it is; a one-shot iterator is copied once, so the
     # per-line loop still sees every line after the one-pass read gave up.
@@ -423,7 +460,7 @@ class TestLoadSequences:
                              ids=["bare", "comment-padding"])
     def test_list_or_iterator(self, make, lines):
         assert annotation.load_sequences(make(lines)) == [
-            ["A", "Q", "S"], ["Em", "Ch"]]
+            ("A", "Q", "S"), ("Em", "Ch")]
 
 
 def _record(i, genre="Fantasy", text="开场(A)结尾(S)"):
@@ -496,7 +533,7 @@ class TestLoadCorpus:
         seg = load_corpus([rec])[0]
         assert seg.annotations == [Annotation(0, "A"), Annotation(2, "Q"),
                                    Annotation(2, "O"), Annotation(3, "S")]
-        assert sequence_of(seg) == ["A", "Q", "O", "S"]
+        assert sequence_of(seg) == ("A", "Q", "O", "S")
         assert emit_inline(seg) == "(A)ab(Q)(O)c(S)d"
 
     def test_invalid_genre(self):

@@ -553,9 +553,9 @@ def test_commands_return_reports_and_write_nothing(case, capsys, monkeypatch):
 _text = st.one_of(st.text(alphabet=st.sampled_from(
     ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "故",
      "\U0001f600", "%", "s", "-", " "])), st.sampled_from(taxonomy.SYMBOLS))
-_rows = st.lists(st.dictionaries(
-    _text, st.one_of(_text, st.lists(st.sampled_from(taxonomy.SYMBOLS)),
-                     st.lists(_text, max_size=3)), max_size=3))
+_field_values = st.one_of(_text, st.lists(st.sampled_from(taxonomy.SYMBOLS)),
+                          st.lists(_text, max_size=3))
+_rows = st.lists(st.dictionaries(_text, _field_values, max_size=3))
 _values = st.one_of(
     st.integers(), st.none(), _text, _rows,
     st.dictionaries(_text, st.one_of(_text, st.floats(allow_nan=False))),
@@ -572,21 +572,65 @@ def _emitted(report):
     return out.getvalue()
 
 
+@st.composite
+def _row_lists(draw):
+    """_Rows with two distinct keys, whose rows draw their shared items from
+    a few values, each one object for every row that draws it."""
+    own_key, shared_key = draw(st.lists(_text, min_size=2, max_size=2, unique=True))
+    items = draw(st.lists(_field_values, min_size=1, max_size=3))
+    return cli._Rows(own_key, shared_key, draw(
+        st.lists(st.tuples(_text, st.sampled_from(items)), max_size=6)))
+
+
+def _row_dicts(rows):
+    return [{rows.own_key: own, rows.shared_key: item} for own, item in rows.pairs]
+
+
 @given(st.dictionaries(_text, _values, max_size=4),
-       st.dictionaries(_text, _rows, max_size=2))
+       st.dictionaries(_text, _row_lists(), max_size=2))
 def test_emit_equals_json_dumps(plain, row_lists):
-    report = {**plain, **row_lists}
+    report = {**plain, **{k: _row_dicts(rows) for k, rows in row_lists.items()}}
     expected = _dumps(report)
     assert _emitted(report) == expected
-    # Rows handed over as an iterator go through the row writer.
-    assert _emitted({**plain, **{k: iter(v) for k, v in row_lists.items()}}) == expected
+    # _Rows go through the row writer.
+    assert _emitted({**plain, **row_lists}) == expected
 
 
 @pytest.mark.parametrize("n", [0, 1, cli._ROWS_PER_WRITE, 2 * cli._ROWS_PER_WRITE + 1])
 def test_emit_rows_across_write_chunks(n):
-    rows = [{"sequence": f"A-{i}", "labels": ["battle"] * (i % 3)} for i in range(n)]
-    report = {"header": {"tool": "x"}, "matches": rows, "support": {}}
-    assert _emitted({**report, "matches": iter(rows)}) == _dumps(report)
+    shared = [["battle"] * k for k in range(3)]
+    pairs = [(f"A-{i}", shared[i % 3]) for i in range(n)]
+    report = {"header": {"tool": "x"}, "matches": [
+        {"sequence": own, "labels": labels} for own, labels in pairs], "support": {}}
+    rows = cli._Rows("sequence", "labels", iter(pairs))
+    assert _emitted({**report, "matches": rows}) == _dumps(report)
+
+
+@pytest.mark.parametrize("text", [
+    "100%", "%s", "%%(x)s", 'say "hi"', "\\", "\u2028", "\u2029", "\x00", "\x1f",
+    "\n\t\r", "\x7f", "故事", "\U0001f600"])
+def test_emit_rows_sharing_one_list(text):
+    # Many rows share one list object; every string, key, own string or
+    # label, goes through the same escaping as json.dumps.
+    labels = [text, "battle", text]
+    pairs = [(f"{text}-{i}", labels) for i in range(100)]
+    # The own key sorts before, then after, the shared one.
+    for own_key, shared_key in (("a" + text, "b" + text), ("b" + text, "a" + text)):
+        rows = cli._Rows(own_key, shared_key, pairs)
+        assert _emitted({"m": rows}) == _dumps({"m": _row_dicts(rows)})
+
+
+def test_emit_rows_whose_list_ids_come_back():
+    # Each label list is new and dropped once its row is taken, so CPython
+    # gives later lists the ids of freed ones.  The writer's cache holds every
+    # list it keys by id, so no id can stand for two lists.
+    def pairs():
+        for i in range(50):
+            yield f"s{i}", [f"l{i}"]
+    assert len({id(labels) for _, labels in pairs()}) < 50
+    expected = [{"sequence": f"s{i}", "labels": [f"l{i}"]} for i in range(50)]
+    rows = cli._Rows("sequence", "labels", pairs())
+    assert _emitted({"m": rows}) == _dumps({"m": expected})
 
 
 def test_emit_refuses_a_non_json_value():

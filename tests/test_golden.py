@@ -154,7 +154,7 @@ def _replay_fixture():
                 gold = annotation.sequence_of(seg)
                 k = len(lines)
                 reply = ("-".join(gold[k:] + gold[:k]),
-                         "".join(f"({s})" for s in gold + ["Q"]),
+                         "".join(f"({s})" for s in (*gold, "Q")),
                          "I cannot tell.")[k % 3]
                 tag = f"recognition:seed=0:round={r}:pred={p}:seg={seg.id}"
                 payload = harness.build_payload(cfg, system, seg.clean_text, tag)

@@ -52,31 +52,46 @@ def segments(passages):
 class TestParseModelOutput:
     def test_inline_markers(self):
         pred = parse_model_output("…way out. (K) … later (J)", 2)
-        assert pred.per_instance == ["K", "J"]
+        assert pred.per_instance == ("K", "J")
         assert pred.extras == 0
 
     def test_trailing_hyphen_line(self):
         text = "Analysis follows.\n\nA-Lo-E-Q-P-S\n"
         pred = parse_model_output(text, 6)
-        assert pred.per_instance == ["A", "Lo", "E", "Q", "P", "S"]
+        assert pred.per_instance == ("A", "Lo", "E", "Q", "P", "S")
 
     def test_free_prose(self):
         pred = parse_model_output("no recognizable structure at all", 3)
-        assert pred.per_instance == [None, None, None]
+        assert pred.per_instance == (None, None, None)
         assert pred.extras == 0
 
     def test_surplus_counts_as_extras(self):
         pred = parse_model_output("(A) (K) (Q) (S)", 2)
-        assert pred.per_instance == ["A", "K"]
+        assert pred.per_instance == ("A", "K")
         assert pred.extras == 2
 
     def test_shortfall_padded_absent(self):
         pred = parse_model_output("(A)", 3)
-        assert pred.per_instance == ["A", None, None]
+        assert pred.per_instance == ("A", None, None)
 
     def test_empty_text(self):
         pred = parse_model_output("", 2)
-        assert pred.per_instance == [None, None]
+        assert pred.per_instance == (None, None)
+
+    # Only the tuple extract_symbols returned: cut or padded once, else as it is.
+    @pytest.mark.parametrize("expected, per_instance, extras", [
+        (4, ("Em", "Lo", None, None), 0),
+        (1, ("Em",), 1),
+        (2, ("Em", "Lo"), 0),
+    ], ids=["shorter", "longer", "exact"])
+    def test_tuple_reply(self, monkeypatch, expected, per_instance, extras):
+        reply = ("Em", "Lo")
+        monkeypatch.setattr(annotation, "extract_symbols", lambda text: reply)
+        pred = parse_model_output("(Em)(Lo)", expected)
+        assert type(pred.per_instance) is tuple
+        assert pred.per_instance == per_instance
+        assert pred.extras == extras
+        assert (pred.per_instance is reply) == (expected == len(reply))
 
 
 class TestMockRecognition:
@@ -123,7 +138,7 @@ class TestMockEchoTable:
             emit_inline(segments[0])
         reply = backend.complete(self._payload("not in the table", tag))
         assert reply.startswith(f"[{tag}] ")
-        assert extract_symbols(reply) == ["A", "Q", "S"]
+        assert extract_symbols(reply) == ("A", "Q", "S")
 
     def test_last_segment_with_a_shared_text_answers(self):
         first = AnnotatedSegment("a", "Fantasy", "same text", [Annotation(4, "K")])
@@ -275,7 +290,7 @@ class TestContinuation:
         assert episodes_a == episodes_b
         assert len(episodes_a) == 2
         assert seqs_a == seqs_b
-        assert all(s == ["A", "Q", "S"] for s in seqs_a)
+        assert all(s == ("A", "Q", "S") for s in seqs_a)
 
     def test_replay_hyphen_line_episodes(self, tmp_path, segments):
         # Each recorded episode ends in one doubao sequence, so the replayed
@@ -316,14 +331,14 @@ class TestContinuation:
             tmp_path, segments, ["The hero returns home.\n\nA-Lo-E-Q-P-S\n"])
         _, seqs, errors = run_continuation(cfg, segments[0], n_episodes=1)
         assert errors == []
-        assert seqs[0] == ["A", "Lo", "E", "Q", "P", "S"]
+        assert seqs[0] == ("A", "Lo", "E", "Q", "P", "S")
 
     def test_failed_episode_recorded_not_raised(self, tmp_path, segments):
         cfg = self._replay_cfg(
             tmp_path, segments, ["One. (A)", None, "Three. (S)"])
         episodes, seqs, errors = run_continuation(cfg, segments[0], n_episodes=3)
         assert episodes == ["One. (A)", None, "Three. (S)"]
-        assert seqs == [["A"], [], ["S"]]
+        assert seqs == [("A",), (), ("S",)]
         assert len(errors) == 1
         assert list(errors[0]) == ["episode", "error", "detail"]
         assert (errors[0]["episode"], errors[0]["error"]) == (1, "ReplayMiss")
