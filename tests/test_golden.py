@@ -123,7 +123,7 @@ def _matrix():
 CASES = _matrix()
 
 BENCH_CASES = {
-    name: [*argv, "--output-format", "json"] for name, argv in {
+    **{name: [*argv, "--output-format", "json"] for name, argv in {
         "parse_seq": ["parse", "plots.seq", "--format", "seq"],
         "match": ["match", "plots.seq"],
         "mine": ["mine", "plots.seq"],
@@ -131,7 +131,9 @@ BENCH_CASES = {
         "homog_lcs": ["homog", "episodes.seq", "--method", "lcs"],
         "eval": ["eval", "--corpus", "dense.jsonl"],
         "stats": ["stats", "dense.jsonl"],
-    }.items()
+    }.items()},
+    # match's default format: its 100k rows through the text renderer.
+    "match_text": ["match", "plots.seq", "--output-format", "text"],
 }
 # Seed -> the bench cases run at it: all of them at the benchmark's default
 # seed, and homog at a second one, which shuffles the same 40 episode
