@@ -173,7 +173,7 @@ _KINDS = {str: "a string", int: "an int", list: "a list", type(None): "null"}
 def _json_object(line):
     try:
         record = json.loads(line)
-    except ValueError as exc:  # also an int past the digit limit
+    except (RecursionError, ValueError) as exc:  # too deep; an int past the digit limit
         raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise TypeError("record is not an object")

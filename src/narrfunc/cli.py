@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from collections import Counter, namedtuple
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 from json.encoder import encode_basestring
 
 from . import __version__, annotation, taxonomy
@@ -47,9 +47,9 @@ _Rows = namedtuple("_Rows", "own_key shared_key pairs")
 
 
 def _emit(report, fmt, out=None):
-    """Write *report*: a list as its lines, a dict as text, or a dict as
-    ``json.dumps(report, **_JSON)`` would with each top-level _Rows a list
-    of its row dicts, written by _write_rows."""
+    """Write *report*: a list as its lines, a dict as _text_lines or as
+    ``json.dumps(report, **_JSON)`` would with each top-level _Rows a list of
+    its row dicts (_write_rows).  Either format's rows come from _row_texts."""
     out = out if out is not None else sys.stdout
     if fmt != "json":
         lines = report if isinstance(report, list) else _text_lines(report)
@@ -65,42 +65,44 @@ def _emit(report, fmt, out=None):
     out.write("\n}\n" if report else "{}\n")
 
 
-def _write_rows(rows, out):
-    """Write _Rows as a JSON list in chunks: each row's own C-escaped string
-    inside the text of its shared item, which is rendered once per item.  The
-    cache holds each item it keys by id, so no later object can take that id."""
-    cache, lead, pairs = {}, "[\n", iter(rows.pairs)
+def _row_texts(rows, around, escape):
+    """Each row's text: ``escape(own)`` between the two parts ``around(item)``
+    gives once per item, cached by id with the item held so no id comes back."""
+    cache = {}
+    for own, item in rows.pairs:
+        if (hit := cache.get(id(item))) is None:
+            hit = cache[id(item)] = (*around(item), item)
+        yield hit[0] + escape(own) + hit[1]
 
+
+def _write_rows(rows, out):
+    """Write _Rows as a JSON list, its _row_texts in chunks."""
     def around(item):  # the row's text, cut where its own string goes
         text = ",".join(f"\n      {encode_basestring(k)}: " + ("\0" if k == rows.own_key
                         else json.dumps(item, **_JSON).replace("\n", "\n      "))
                         for k in sorted((rows.own_key, rows.shared_key)))
-        return (*f"    {{{text}\n    }}".split("\0"), item)  # JSON holds no raw NUL
-
-    def render(own, item):
-        if (hit := cache.get(id(item))) is None:
-            hit = cache[id(item)] = around(item)
-        return hit[0] + encode_basestring(own) + hit[1]
-
-    while chunk := list(starmap(render, islice(pairs, _ROWS_PER_WRITE))):
+        return f"    {{{text}\n    }}".split("\0")  # JSON holds no raw NUL
+    lead, texts = "[\n", _row_texts(rows, around, encode_basestring)
+    while chunk := list(islice(texts, _ROWS_PER_WRITE)):
         out.write(lead + ",\n".join(chunk))
         lead = ",\n"
     out.write("[]" if lead == "[\n" else "\n  ]")
 
 
 def _text_lines(obj, indent=""):
-    if isinstance(obj, _Rows):  # as its row dicts, one at a time
-        own_key, shared_key, pairs = obj
-        obj = ({own_key: own, shared_key: item} for own, item in pairs)
-    if isinstance(obj, dict):
-        for key in obj:
-            value = obj[key]
+    """Lines ``key: value`` or ``- value``, a nested dict or list two spaces
+    in under its ``key:``; a _Rows row is one string of its row dict's lines."""
+    if isinstance(obj, _Rows):
+        yield from _row_texts(obj, lambda item: (f"{indent}  {obj.own_key}: ", "".join(
+            f"\n{s}" for s in _text_lines({obj.shared_key: item}, indent + "  "))), str)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
             if isinstance(value, (dict, list, _Rows)):
                 yield f"{indent}{key}:"
                 yield from _text_lines(value, indent + "  ")
             else:
                 yield f"{indent}{key}: {value}"
-    else:  # a list, or rows
+    else:  # a list
         for value in obj:
             if isinstance(value, (dict, list)):
                 yield from _text_lines(value, indent + "  ")

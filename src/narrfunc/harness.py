@@ -127,8 +127,13 @@ class HttpBackend:
     fails the request with :class:`MalformedReply`."""
 
     def __init__(self, cfg):
+        from urllib.parse import urlsplit
         if not cfg.endpoint or not cfg.model_name:
             raise ValueError("http backend needs endpoint and model_name")
+        url = urlsplit(cfg.endpoint)
+        if url.scheme not in ("http", "https") or not url.netloc:
+            raise ValueError(f"endpoint must be an http:// or https:// URL, "
+                             f"not {cfg.endpoint!r}")
         if not 0 < cfg.timeout < math.inf:  # also rejects nan
             raise ValueError(f"timeout must be a positive finite number of "
                              f"seconds, not {cfg.timeout!r}")

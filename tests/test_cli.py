@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import narrfunc
 from narrfunc import cli, paradigm, taxonomy
@@ -545,7 +545,7 @@ def test_commands_return_reports_and_write_nothing(case, capsys, monkeypatch):
     assert capsys.readouterr().out == ""
     out = io.StringIO()
     cli._emit(report, args.output_format, out)
-    assert out.getvalue().encode("utf-8") == (GOLDEN / f"{case}.out").read_bytes()
+    _assert_same(out.getvalue().encode("utf-8"), (GOLDEN / f"{case}.out").read_bytes())
 
 
 # Strings that stress JSON escaping: quotes, backslashes, control and
@@ -566,10 +566,28 @@ def _dumps(report):
     return json.dumps(report, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
-def _emitted(report):
+def _emitted(report, fmt="json"):
     out = io.StringIO()
-    cli._emit(report, "json", out)
+    cli._emit(report, fmt, out)
     return out.getvalue()
+
+
+def _expected(report, fmt):
+    """*report*, whose rows are plain dicts, as json.dumps writes it or as
+    _emit writes it in text."""
+    return _dumps(report) if fmt == "json" else _emitted(report, "text")
+
+
+def _assert_same(got, expected):
+    """Fail on the first differing offset with a short window around it,
+    instead of diffing two reports of hundreds of KB."""
+    if got != expected:
+        at = next((i for i, pair in enumerate(zip(got, expected))
+                   if pair[0] != pair[1]), min(len(got), len(expected)))
+        window = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"first difference at offset {at} (lengths {len(got)}, "
+                    f"{len(expected)}): got {got[window]!r}, expected "
+                    f"{expected[window]!r}", pytrace=False)
 
 
 @st.composite
@@ -591,36 +609,56 @@ def _row_dicts(rows):
 def test_emit_equals_json_dumps(plain, row_lists):
     report = {**plain, **{k: _row_dicts(rows) for k, rows in row_lists.items()}}
     expected = _dumps(report)
-    assert _emitted(report) == expected
+    _assert_same(_emitted(report), expected)
     # _Rows go through the row writer.
-    assert _emitted({**plain, **row_lists}) == expected
+    _assert_same(_emitted({**plain, **row_lists}), expected)
 
 
-@pytest.mark.parametrize("n", [0, 1, cli._ROWS_PER_WRITE, 2 * cli._ROWS_PER_WRITE + 1])
-def test_emit_rows_across_write_chunks(n):
+@given(st.dictionaries(_text, _values, max_size=4),
+       st.dictionaries(_text, _row_lists(), max_size=2))
+@example({}, {"m": cli._Rows("s", "l", [])})
+@example({"a": "x"}, {"m": cli._Rows("\0", "\n", []), " ": cli._Rows(" ", "", [])})
+def test_emit_text_rows_equal_row_dicts(plain, row_lists):
+    # Text rows, each rendered once per shared item, read as the same rows
+    # given as plain dicts, whose every value goes through _text_lines.
+    report = {**plain, **{k: _row_dicts(rows) for k, rows in row_lists.items()}}
+    _assert_same(_emitted({**plain, **row_lists}, "text"), _emitted(report, "text"))
+
+
+def _in_both_formats(values):
+    """``(value, fmt)`` params: JSON under the value's own id, text under
+    ``<id>-text``."""
+    return [*(pytest.param(v, "json", id=str(v)) for v in values),
+            *(pytest.param(v, "text", id=f"{v}-text") for v in values)]
+
+
+@pytest.mark.parametrize("n,fmt", _in_both_formats(
+    [0, 1, cli._ROWS_PER_WRITE, 2 * cli._ROWS_PER_WRITE + 1]))
+def test_emit_rows_across_write_chunks(n, fmt):
     shared = [["battle"] * k for k in range(3)]
     pairs = [(f"A-{i}", shared[i % 3]) for i in range(n)]
     report = {"header": {"tool": "x"}, "matches": [
         {"sequence": own, "labels": labels} for own, labels in pairs], "support": {}}
     rows = cli._Rows("sequence", "labels", iter(pairs))
-    assert _emitted({**report, "matches": rows}) == _dumps(report)
+    _assert_same(_emitted({**report, "matches": rows}, fmt), _expected(report, fmt))
 
 
-@pytest.mark.parametrize("text", [
+@pytest.mark.parametrize("text,fmt", _in_both_formats([
     "100%", "%s", "%%(x)s", 'say "hi"', "\\", "\u2028", "\u2029", "\x00", "\x1f",
-    "\n\t\r", "\x7f", "故事", "\U0001f600"])
-def test_emit_rows_sharing_one_list(text):
+    "\n\t\r", "\x7f", "故事", "\U0001f600"]))
+def test_emit_rows_sharing_one_list(text, fmt):
     # Many rows share one list object; every string, key, own string or
-    # label, goes through the same escaping as json.dumps.
+    # label, goes through the same escaping as json.dumps, or in text
+    # through the same lines as the rows given as dicts.
     labels = [text, "battle", text]
     pairs = [(f"{text}-{i}", labels) for i in range(100)]
     # The own key sorts before, then after, the shared one.
     for own_key, shared_key in (("a" + text, "b" + text), ("b" + text, "a" + text)):
         rows = cli._Rows(own_key, shared_key, pairs)
-        assert _emitted({"m": rows}) == _dumps({"m": _row_dicts(rows)})
+        _assert_same(_emitted({"m": rows}, fmt), _expected({"m": _row_dicts(rows)}, fmt))
 
 
-def test_emit_rows_whose_list_ids_come_back():
+def test_emit_rows_whose_list_ids_come_back(fmt="json"):
     # Each label list is new and dropped once its row is taken, so CPython
     # gives later lists the ids of freed ones.  The writer's cache holds every
     # list it keys by id, so no id can stand for two lists.
@@ -630,7 +668,11 @@ def test_emit_rows_whose_list_ids_come_back():
     assert len({id(labels) for _, labels in pairs()}) < 50
     expected = [{"sequence": f"s{i}", "labels": [f"l{i}"]} for i in range(50)]
     rows = cli._Rows("sequence", "labels", pairs())
-    assert _emitted({"m": rows}) == _dumps({"m": expected})
+    _assert_same(_emitted({"m": rows}, fmt), _expected({"m": expected}, fmt))
+
+
+def test_emit_text_rows_whose_list_ids_come_back():
+    test_emit_rows_whose_list_ids_come_back("text")
 
 
 def test_emit_refuses_a_non_json_value():

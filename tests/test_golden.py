@@ -88,6 +88,13 @@ def _matrix():
         "error_config_duplicate_key": [
             "eval", "--corpus", CORPUS, "--rounds", "1", "--preds", "1",
             "--config", "{tmp}/duplicate_key.cfg"],
+        "error_corpus_deep_nesting": ["parse", "{tmp}/deep.jsonl", "--format", "jsonl"],
+        "error_replay_deep_nesting": [
+            "eval", "--corpus", CORPUS, "--backend", "replay",
+            "--replay-path", "{tmp}/deep_replay.jsonl"],
+        "error_endpoint_not_http": [
+            "eval", "--corpus", CORPUS, "--backend", "http",
+            "--endpoint", "notaurl", "--model", "m"],
     }
     runs = {
         "parse_inline": ["parse", "passage1.txt"],
@@ -205,6 +212,11 @@ def _mixed_fixture():
     return "\n".join(lines) + "\n"
 
 
+# A line nested deep enough that json.loads raises RecursionError on
+# Python 3.10-3.13 (3.13.0 still parses 5,000 levels).
+_DEEP = "[" * 100_000 + "]" * 100_000 + "\n"
+
+
 def write_inputs(tmp):
     """Write the files that cases name under ``{tmp}``: text as UTF-8,
     bytes as given."""
@@ -224,6 +236,8 @@ def write_inputs(tmp):
         "no_equals.cfg": "# settings\nmodel = demo\nendpoint http://127.0.0.1:9/v1\n",
         "unknown_key.cfg": "modle = demo\n",
         "duplicate_key.cfg": "model = a\n# again\nmodel = b\n",
+        "deep.jsonl": '{"id": "a", "genre": "Urban", "text": "x(A)"}\n' + _DEEP,
+        "deep_replay.jsonl": '{"request_digest": "d0", "response_text": "A"}\n' + _DEEP,
     }
     for name, content in files.items():
         pathlib.Path(tmp, name).write_bytes(

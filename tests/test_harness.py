@@ -363,6 +363,18 @@ class TestHttpConfig:
             kind="http", endpoint="http://flag.test/v1", model_name="m"))
         assert backend.endpoint == "http://flag.test/v1"
 
+    @pytest.mark.parametrize("endpoint", [
+        "notaurl", "ftp://flag.test/v1", "file:///v1", "http:", "http:///v1"])
+    def test_endpoint_must_be_an_http_url(self, endpoint):
+        # A config error before any request, not a run whose requests all fail.
+        with pytest.raises(ValueError, match="^endpoint must be an http:// or https:// URL"):
+            make_backend(BackendConfig(kind="http", endpoint=endpoint, model_name="m"))
+
+    def test_https_and_any_case_scheme_accepted(self):
+        for endpoint in ("https://flag.test/v1", "HTTP://flag.test/v1"):
+            assert make_backend(BackendConfig(
+                kind="http", endpoint=endpoint, model_name="m")).endpoint == endpoint
+
     @pytest.mark.parametrize("timeout", [-1.0, 0, 0.0, float("nan"),
                                          float("inf"), float("-inf")])
     def test_timeout_must_be_positive_and_finite(self, timeout):
