@@ -23,13 +23,7 @@ from collections import namedtuple
 
 from . import taxonomy
 from .errors import (
-    DuplicateId,
-    InvalidGenre,
-    MalformedRecord,
-    NarrfuncError,
-    ParenthesizedUnknownToken,
-    UnknownSymbol,
-)
+    MalformedRecord, NarrfuncError, ParenthesizedUnknownToken, UnknownSymbol)
 
 GENRES = ("Fantasy", "Xianxia", "Romance", "TimeTravel", "Urban")
 
@@ -181,12 +175,19 @@ def _json_object(line):
 
 
 def _field(record, name, *kinds):
-    """*record*'s *name*, present and of exactly one of the JSON *kinds*."""
+    """*record*'s *name*, present and of exactly one of the JSON *kinds*; a
+    string that is not UTF-8 (a lone surrogate escape; I-JSON, RFC 7493 §2.1)
+    is refused here, before any output."""
     if name not in record:
         raise ValueError(f"{name} is missing")
     if type(value := record[name]) not in kinds:
         raise TypeError(f"{name} is {type(value).__name__}, not "
                         + " or ".join(map(_KINDS.get, kinds)))
+    if type(value) is str:
+        try:
+            value.encode()
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{name} is not UTF-8: {exc.reason}") from None
     return value
 
 
@@ -203,7 +204,7 @@ def load_corpus(lines, strict=False):
         raw_genre = _field(record, "genre", str)
         genre = _GENRE_ALIASES.get(raw_genre, raw_genre)
         if genre not in GENRES:
-            raise InvalidGenre(f"unknown genre {raw_genre!r}")
+            raise ValueError(f"unknown genre {raw_genre!r}")
         if "text" in record:
             clean_text, annotations = parse_inline(_field(record, "text", str),
                                                    strict=strict)
@@ -222,7 +223,7 @@ def load_corpus(lines, strict=False):
                 annotations.append(Annotation(offset, symbol))
             annotations.sort(key=lambda a: a.offset)
         if seg_id in seen:
-            raise DuplicateId(f"duplicate segment id {seg_id!r}")
+            raise ValueError(f"duplicate segment id {seg_id!r}")
         seen.add(seg_id)
         return AnnotatedSegment(seg_id, genre, clean_text, annotations)
     return _each_line(lines, segment)

@@ -9,7 +9,8 @@ through :func:`_emit`; it writes nothing itself, save ``stats``' stderr
 ``warning: empty corpus``.  Each command imports the layers it runs.  All
 input is checked before the first byte goes out; ``match`` streams its rows.
 Exit codes: 0 success, 1 stdout closed early (``| head``), 2 input/config
-error, 3 analytic failure, 4 backend unreachable.
+error (any input file, replay fixture too, that cannot be read, decoded or
+parsed), 3 analytic failure, 4 a failed request under ``--fail-on-error``.
 """
 
 import argparse
@@ -21,8 +22,7 @@ from itertools import chain, islice
 from json.encoder import encode_basestring
 
 from . import __version__, annotation, taxonomy
-from .errors import (
-    BackendUnreachable, EmptyCorpus, MiningFailed, NarrfuncError)
+from .errors import EmptyCorpus, MiningFailed, NarrfuncError
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -402,9 +402,6 @@ def main(argv=None):
         for err in exc.args:  # where the request failed, then why
             print("error: round {round}, prediction {prediction}, segment {segment}: "
                   "{error}: {detail}".format_map(err), file=sys.stderr)
-        return EXIT_BACKEND
-    except BackendUnreachable as exc:
-        print(f"backend unreachable: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except MiningFailed as exc:
         print(f"mining failed: {exc}", file=sys.stderr)

@@ -6,13 +6,14 @@ class NarrfuncError(Exception):
 
 
 class UnknownSymbol(NarrfuncError):
-    """A token does not name any registered narrative function."""
+    """A token outside the registry; the message quotes at most 8 characters."""
 
     def __init__(self, token, position=None):
         self.token = token
         self.position = position
         loc = f" at position {position}" if position is not None else ""
-        super().__init__(f"unknown function symbol {token!r}{loc}")
+        shown = f"{token[:8]!r}..." if len(token) > 8 else repr(token)
+        super().__init__(f"unknown function symbol {shown}{loc}")
 
 
 class ParenthesizedUnknownToken(NarrfuncError):
@@ -25,14 +26,6 @@ class ParenthesizedUnknownToken(NarrfuncError):
 
 
 class EmptyInput(NarrfuncError):
-    pass
-
-
-class DuplicateId(NarrfuncError):
-    pass
-
-
-class InvalidGenre(NarrfuncError):
     pass
 
 

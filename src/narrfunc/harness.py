@@ -104,13 +104,11 @@ class MockBackend:
 
 class ReplayBackend:
     """Serves a JSONL fixture read by :func:`annotation.load_replay`: a string
-    ``request_digest`` and a string or null ``response_text``; a later line wins."""
+    ``request_digest`` and a string or null ``response_text``; a later line wins.
+    A fixture that cannot be read or parsed raises here, as any input file does."""
 
     def __init__(self, path):
-        try:
-            lines, self.inputs = annotation.read_lines(path)
-        except OSError as exc:
-            raise BackendUnreachable(f"cannot read replay fixtures: {exc}") from exc
+        lines, self.inputs = annotation.read_lines(path)
         self._responses = annotation.load_replay(lines)
 
     def complete(self, payload):

@@ -180,7 +180,12 @@ class TestMatch:
         ("A-Q-S\nA-K-O\nA-Qx-S\n", [], "error: malformed record on line 3: "
                                        "unknown function symbol 'Qx' at position 1"),
         ("A-Q-S\n", ["--pattern", "(A)->"], "error: pattern syntax error at 5: "),
-    ], ids=["empty-file", "unknown-symbol-on-last-line", "malformed-pattern"])
+        # A JSONL record read as one symbol: 8 characters of it are quoted.
+        ('{"id": "a", "text": "%s"}\n' % ("x" * 900), [],
+         "error: malformed record on line 1: unknown function symbol "
+         "'{\"id\": \"'... at position 0\n"),
+    ], ids=["empty-file", "unknown-symbol-on-last-line", "malformed-pattern",
+            "jsonl-record"])
     def test_failing_run_writes_nothing(self, tmp_path, capsys, content, argv,
                                         message, fmt):
         p = tmp_path / "seqs.seq"
@@ -300,11 +305,16 @@ class TestEval:
         assert code == cli.EXIT_OK
         assert "accuracy" in out and "1.000(±0.0)" in out
 
-    def test_replay_without_fixtures_exit_4(self, capsys):
-        code, _, err = run_cli(
-            capsys, "eval", "--corpus", str(DATA / "recognition_corpus.jsonl"),
-            "--backend", "replay", "--replay-path", "/no/file")
-        assert code == cli.EXIT_BACKEND
+    def test_unreadable_replay_fixture_exit_2(self, tmp_path, capsys):
+        # An unreadable fixture is an input error, as an unreadable corpus is:
+        # a missing file and a directory alike.
+        for path in (tmp_path / "missing.jsonl", tmp_path):
+            code, out, err = run_cli(
+                capsys, "eval", "--corpus", str(DATA / "recognition_corpus.jsonl"),
+                "--backend", "replay", "--replay-path", str(path))
+            assert (code, out) == (cli.EXIT_INPUT, "")
+            assert re.fullmatch(r"error: \[Errno \d+\] [^\n]+\n", err), err
+            assert err.endswith(f": {str(path)!r}\n")
 
     def test_fail_on_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -427,6 +437,32 @@ class TestEval:
         assert (code, out, sent) == (cli.EXIT_INPUT, "", [])
         assert err.startswith("error: timeout must be a positive finite number")
         assert err.count("\n") == 1
+
+
+class TestLoneSurrogate:
+    # A JSON escape can spell a lone surrogate, which UTF-8 cannot encode:
+    # the record is refused where it is read, before any output or request.
+    @pytest.mark.parametrize("argv", [
+        ["parse", "{c}", "--format", "jsonl"], ["stats", "{c}"],
+        ["eval", "--corpus", "{c}"],
+        ["eval", "--corpus", "{c}", "--backend", "replay", "--replay-path", "{e}"],
+    ], ids=["parse", "stats", "eval-mock", "eval-replay"])
+    @pytest.mark.parametrize("field", ["id", "text"])
+    def test_refused_before_any_output(self, tmp_path, capsys, monkeypatch,
+                                       argv, field):
+        sent = []
+        monkeypatch.setattr("narrfunc.harness.ReplayBackend.complete",
+                            lambda self, payload: sent.append(payload))
+        record = {"id": "a", "genre": "Urban", "text": "x(A)", field: "x\ud800"}
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        (tmp_path / "e.jsonl").write_text("")  # a fixture that misses every request
+        code, out, err = run_cli(capsys, *(
+            a.replace("{c}", str(corpus)).replace("{e}", str(tmp_path / "e.jsonl"))
+            for a in argv))
+        assert (code, out, sent) == (cli.EXIT_INPUT, "", [])
+        assert err == (f"error: malformed record on line 1: {field} is not UTF-8: "
+                       "surrogates not allowed\n")
 
 
 class TestHomog:

@@ -95,6 +95,13 @@ def _matrix():
         "error_endpoint_not_http": [
             "eval", "--corpus", CORPUS, "--backend", "http",
             "--endpoint", "notaurl", "--model", "m"],
+        "error_corpus_lone_surrogate": [
+            "parse", "{tmp}/surrogate.jsonl", "--format", "jsonl"],
+        "error_replay_unreadable": [
+            "eval", "--corpus", CORPUS, "--backend", "replay",
+            "--replay-path", "{tmp}/missing.jsonl"],
+        # Analytic failure: exit 3.
+        "error_mine_support": ["mine", "plots_battle.seq", "--support", "1.0"],
     }
     runs = {
         "parse_inline": ["parse", "passage1.txt"],
@@ -238,6 +245,7 @@ def write_inputs(tmp):
         "duplicate_key.cfg": "model = a\n# again\nmodel = b\n",
         "deep.jsonl": '{"id": "a", "genre": "Urban", "text": "x(A)"}\n' + _DEEP,
         "deep_replay.jsonl": '{"request_digest": "d0", "response_text": "A"}\n' + _DEEP,
+        "surrogate.jsonl": '{"id": "\\ud800", "genre": "Urban", "text": "x(A)"}\n',
     }
     for name, content in files.items():
         pathlib.Path(tmp, name).write_bytes(

@@ -18,7 +18,6 @@ from narrfunc.annotation import (
     sequence_of,
 )
 from narrfunc.errors import (
-    BackendUnreachable,
     EmptyCorpus,
     MalformedRecord,
     ReplayMiss,
@@ -36,7 +35,7 @@ from narrfunc.harness import (
 )
 
 from conftest import DATA
-from test_annotation import _JSON_VALUES, _MISSING
+from test_annotation import _JSON_VALUES, _MISSING, _utf8
 from test_metrics import SMALL_ALPHABET, loop_aggregate, loop_score
 
 
@@ -210,7 +209,8 @@ class TestReplayRecognition:
             assert summary.mean == 0.0
 
     def test_missing_fixture_file(self):
-        with pytest.raises(BackendUnreachable):
+        # An input file that cannot be read, as an unreadable corpus is.
+        with pytest.raises(FileNotFoundError):
             make_backend(BackendConfig(kind="replay", replay_path="/no/file"))
 
     def test_replay_miss_digest(self, tmp_path):
@@ -260,17 +260,20 @@ class TestReplayRecognition:
     @example("response_text", None)
     @example("response_text", ["A"])
     @example("response_text", {"A": 1})
+    @example("request_digest", "\ud800")
+    @example("response_text", "x(A)\udfff")
     def test_each_field_of_each_json_type(self, field, value):
         # A field set to a value of any JSON type, or deleted, loads in the
-        # documented form (a string digest; a string or null text; a later
-        # line wins) or gives an error that names the field.
+        # documented form (a UTF-8 string digest; a UTF-8 string or null text;
+        # a later line wins) or gives an error that names the field.
         record = {"request_digest": "d1", "response_text": "A"}
         if value is _MISSING:
             del record[field]
         else:
             record[field] = value
         lines = ['{"request_digest": "d0", "response_text": "A"}', json.dumps(record)]
-        if type(value) is str or (field, value) == ("response_text", None):
+        if (field, value) == ("response_text", None) or (
+                type(value) is str and _utf8(value)):
             assert annotation.load_replay(lines) == {
                 "d0": "A", record["request_digest"]: record["response_text"]}
             return

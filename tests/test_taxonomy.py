@@ -33,6 +33,15 @@ def test_parse_symbol():
         taxonomy.parse_symbol("ch")
 
 
+def test_unknown_symbol_quotes_at_most_8_characters():
+    # A longer token shows its first 8 and a cut mark; .token keeps it whole.
+    exc = UnknownSymbol("x" * 900, 0)
+    assert str(exc) == "unknown function symbol 'xxxxxxxx'... at position 0"
+    assert exc.token == "x" * 900
+    assert str(UnknownSymbol("Zzzzzzzz")) == "unknown function symbol 'Zzzzzzzz'"
+    assert str(UnknownSymbol("Qx", 1)) == "unknown function symbol 'Qx' at position 1"
+
+
 def test_lookup():
     by_symbol = {d.symbol: d for d in taxonomy.all_functions()}
     assert by_symbol["Fr"].name == "Setting"
