@@ -100,6 +100,10 @@ def _matrix():
         "error_replay_unreadable": [
             "eval", "--corpus", CORPUS, "--backend", "replay",
             "--replay-path", "{tmp}/missing.jsonl"],
+        "error_homog_one_episode": ["homog", "{tmp}/one_episode.seq"],
+        "error_mine_empty": ["mine", "{tmp}/empty.seq"],
+        "error_eval_empty_corpus": ["eval", "--corpus", "{tmp}/empty.jsonl"],
+        "error_stats_windows_few_novels": ["stats", CORPUS, "--windows"],
         # Analytic failure: exit 3.
         "error_mine_support": ["mine", "plots_battle.seq", "--support", "1.0"],
     }
@@ -231,6 +235,8 @@ def write_inputs(tmp):
         "replay.jsonl": _replay_fixture(),
         "replay_mixed.jsonl": _mixed_fixture(),
         "empty.seq": "",
+        "empty.jsonl": "",
+        "one_episode.seq": "A-Q-S\n",
         "unknown_last.seq": "A-Q-S\nA-Q-Zz\n",
         "not_utf8.seq": b"A-Q-S\r\nA-\xff-S\r\nA-Q-O\r\n",
         "not_utf8_replay.jsonl": b'{"request_digest": "d0", "response_text": "A"}\n'
