@@ -23,7 +23,7 @@ from collections import namedtuple
 
 from . import taxonomy
 from .errors import (
-    MalformedRecord, NarrfuncError, ParenthesizedUnknownToken, UnknownSymbol)
+    MalformedRecord, NarrfuncError, ParenthesizedUnknownToken, UnknownSymbol, excerpt)
 
 GENRES = ("Fantasy", "Xianxia", "Romance", "TimeTravel", "Urban")
 
@@ -204,7 +204,7 @@ def load_corpus(lines, strict=False):
         raw_genre = _field(record, "genre", str)
         genre = _GENRE_ALIASES.get(raw_genre, raw_genre)
         if genre not in GENRES:
-            raise ValueError(f"unknown genre {raw_genre!r}")
+            raise ValueError(f"unknown genre {excerpt(raw_genre)}")
         if "text" in record:
             clean_text, annotations = parse_inline(_field(record, "text", str),
                                                    strict=strict)
@@ -219,11 +219,11 @@ def load_corpus(lines, strict=False):
                 symbol = taxonomy.parse_symbol(_field(item, "symbol", str))
                 offset = _field(item, "offset", int)
                 if not 0 <= offset <= len(clean_text):
-                    raise ValueError(f"offset {offset} outside clean text")
+                    raise ValueError(f"offset {excerpt(offset)} outside clean text")
                 annotations.append(Annotation(offset, symbol))
             annotations.sort(key=lambda a: a.offset)
         if seg_id in seen:
-            raise ValueError(f"duplicate segment id {seg_id!r}")
+            raise ValueError(f"duplicate segment id {excerpt(seg_id)}")
         seen.add(seg_id)
         return AnnotatedSegment(seg_id, genre, clean_text, annotations)
     return _each_line(lines, segment)
@@ -248,9 +248,10 @@ def load_config(lines, keys):
         if not sep:
             raise ValueError("expected key=value")
         if (key := key.strip()) not in keys:
-            raise ValueError(f"unknown key {key!r}, expected one of {', '.join(keys)}")
+            raise ValueError(f"unknown key {excerpt(key)}, "
+                             f"expected one of {', '.join(keys)}")
         if key in settings:
-            raise ValueError(f"key {key!r} given twice")
+            raise ValueError(f"key {excerpt(key)} given twice")
         settings[key] = value.strip()
     _each_line(lines, setting, comments=True)
     return settings

@@ -22,7 +22,7 @@ from itertools import chain, islice
 from json.encoder import encode_basestring
 
 from . import __version__, annotation, taxonomy
-from .errors import EmptyCorpus, MiningFailed, NarrfuncError
+from .errors import MiningFailed, NarrfuncError
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -227,7 +227,7 @@ def cmd_match(args):
     else:
         patterns = paradigm.builtin_paradigms()
     if not seqs:
-        raise EmptyCorpus("support over an empty corpus")
+        raise ValueError("support over an empty corpus")
     # One verdict pass before any output; each row shares its label list.
     verdicts = paradigm.classify(seqs, patterns)
     hits = Counter(chain.from_iterable(verdicts))

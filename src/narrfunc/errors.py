@@ -1,8 +1,15 @@
-"""Exception types shared across the toolkit."""
+"""Exceptions that a caller tells apart; a bad value raises ``ValueError``."""
+
+
+def excerpt(value):
+    """*value* for a message: quoted if a string, cut at 8 characters with ``...``."""
+    text, quote = str(value), repr if isinstance(value, str) else str
+    return quote(text[:8]) + "..." if len(text) > 8 else quote(text)
 
 
 class NarrfuncError(Exception):
-    """Base class for all toolkit errors."""
+    """A fault that a caller tells apart by its class, attributes or name; a
+    bad argument value or input field raises ``ValueError`` instead."""
 
 
 class UnknownSymbol(NarrfuncError):
@@ -12,8 +19,7 @@ class UnknownSymbol(NarrfuncError):
         self.token = token
         self.position = position
         loc = f" at position {position}" if position is not None else ""
-        shown = f"{token[:8]!r}..." if len(token) > 8 else repr(token)
-        super().__init__(f"unknown function symbol {shown}{loc}")
+        super().__init__(f"unknown function symbol {excerpt(token)}{loc}")
 
 
 class ParenthesizedUnknownToken(NarrfuncError):
@@ -23,10 +29,6 @@ class ParenthesizedUnknownToken(NarrfuncError):
         self.offset = offset
         self.token = token
         super().__init__(f"unknown parenthesized token {token!r} at offset {offset}")
-
-
-class EmptyInput(NarrfuncError):
-    pass
 
 
 class MalformedRecord(NarrfuncError):
@@ -43,31 +45,7 @@ class PatternSyntaxError(NarrfuncError):
         super().__init__(f"pattern syntax error at {position}: {reason}")
 
 
-class TooFewElements(NarrfuncError):
-    pass
-
-
-class EmptySequence(NarrfuncError):
-    pass
-
-
-class EmptyCorpus(NarrfuncError):
-    pass
-
-
 class MiningFailed(NarrfuncError):
-    pass
-
-
-class LengthMismatch(NarrfuncError):
-    pass
-
-
-class TooFewEpisodes(NarrfuncError):
-    pass
-
-
-class InsufficientNovels(NarrfuncError):
     pass
 
 

@@ -25,8 +25,7 @@ from collections import namedtuple
 
 from . import annotation, metrics, taxonomy
 from .annotation import emit_inline, sequence_of
-from .errors import (
-    BackendUnreachable, EmptyCorpus, MalformedReply, ReplayMiss)
+from .errors import BackendUnreachable, MalformedReply, ReplayMiss
 
 ENV_API_KEY = "NARR_API_KEY"
 
@@ -220,7 +219,7 @@ def run_recognition(cfg, segments, rounds=10, preds_per_round=5, seed=0):
     """Score ``rounds x preds_per_round`` predictions over the gold-annotated
     segments and aggregate them per round."""
     if not segments:
-        raise EmptyCorpus("recognition over an empty corpus")
+        raise ValueError("recognition over an empty corpus")
     backend = make_backend(cfg, segments)
     system = DEFAULT_RECOGNITION_TEMPLATE.format(functions=functions_block())
     golds = [metrics.gold_splits(metrics.gold_instances(sequence_of(seg)))

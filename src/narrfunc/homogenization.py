@@ -26,7 +26,6 @@ from collections import Counter, namedtuple
 
 from . import taxonomy
 from .annotation import AnnotatedSegment, Annotation
-from .errors import EmptySequence, InsufficientNovels, TooFewEpisodes
 
 EDIT = "edit"
 LCS = "lcs"
@@ -128,9 +127,9 @@ def analyze_episodes(episode_set, method=EDIT):
     one scan per episode covers all later ones of a shortest-first layout."""
     episodes = episode_set.episodes
     if len(episodes) < 2:
-        raise TooFewEpisodes("need at least 2 episodes")
+        raise ValueError("need at least 2 episodes")
     if any(not e for e in episodes):
-        raise EmptySequence("episodes must be nonempty")
+        raise ValueError("episodes must be nonempty")
     kernel, similarity = _method(method)
     n = len(episodes)
     order = sorted(range(n), key=lambda k: len(episodes[k]))
@@ -191,7 +190,7 @@ def sample_windows(novels, seed, groups=5, novels_per_group=4, chars=2000):
         raise ValueError("groups, novels_per_group and chars must be >= 1")
     ids = sorted(novels)
     if len(ids) < groups * novels_per_group:
-        raise InsufficientNovels(
+        raise ValueError(
             f"{len(ids)} novels cannot fill {groups} groups of {novels_per_group}")
     rng = random.Random(seed)
     rng.shuffle(ids)

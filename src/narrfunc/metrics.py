@@ -14,8 +14,6 @@ from collections import Counter, namedtuple
 from itertools import compress
 from operator import eq
 
-from .errors import EmptyInput, LengthMismatch
-
 COMMON = "common"
 RARE = "rare"
 
@@ -91,7 +89,7 @@ def score_instances(gold, pred):
     """Score one prediction against gold instances: ``(common, rare,
     sum)`` :class:`SplitMetrics`."""
     if len(pred.per_instance) != len(gold):
-        raise LengthMismatch(
+        raise ValueError(
             f"{len(pred.per_instance)} predictions for {len(gold)} instances")
     if pred.extras < 0:
         raise ValueError("extras must be >= 0")
@@ -108,7 +106,7 @@ def aggregate(rounds):
     population standard deviation across round means."""
     rounds = list(rounds)
     if not rounds or any(not r for r in rounds):
-        raise EmptyInput("need at least one round with at least one prediction")
+        raise ValueError("need at least one round with at least one prediction")
 
     # zip(*...) turns predictions (or rounds) of splits into splits of
     # them, and a split's metrics into one tuple per field.
@@ -130,10 +128,10 @@ def cohen_kappa(labels_a, labels_b):
     int true division is correctly rounded, so the float is the exact
     rational's."""
     if len(labels_a) != len(labels_b):
-        raise LengthMismatch(f"{len(labels_a)} vs {len(labels_b)} labels")
+        raise ValueError(f"{len(labels_a)} vs {len(labels_b)} labels")
     n = len(labels_a)
     if n == 0:
-        raise EmptyInput("empty label lists")
+        raise ValueError("empty label lists")
     agree = sum(1 for a, b in zip(labels_a, labels_b) if a == b)
     counts_a, counts_b = Counter(labels_a), Counter(labels_b)
     chance = sum(counts_a[label] * counts_b[label] for label in counts_a)

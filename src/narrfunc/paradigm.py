@@ -20,14 +20,7 @@ from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 
 from . import taxonomy
-from .errors import (
-    EmptyCorpus,
-    EmptySequence,
-    MiningFailed,
-    PatternSyntaxError,
-    TooFewElements,
-    UnknownSymbol,
-)
+from .errors import MiningFailed, PatternSyntaxError, UnknownSymbol
 
 LINEAR = "linear"
 NONLINEAR = "nonlinear"
@@ -61,7 +54,7 @@ class ParadigmPattern(namedtuple("ParadigmPattern", "elements connectors plot_la
 
     def __new__(cls, elements, connectors, plot_label=None):
         if len(elements) < 2:
-            raise TooFewElements(f"pattern has {len(elements)} element(s), need >= 2")
+            raise ValueError(f"pattern has {len(elements)} element(s), need >= 2")
         if len(connectors) != len(elements) - 1:
             raise ValueError("connector count must be element count - 1")
         self = super().__new__(cls, elements, connectors, plot_label)
@@ -124,7 +117,10 @@ def parse_pattern(s, plot_label=None):
     if expect_element:
         raise PatternSyntaxError(len(s), "dangling connector" if elements
                                  else "empty pattern")
-    return ParadigmPattern(tuple(elements), tuple(connectors), plot_label)
+    try:  # one element: the shape rule is the class's, the position ours
+        return ParadigmPattern(tuple(elements), tuple(connectors), plot_label)
+    except ValueError as exc:
+        raise PatternSyntaxError(len(s), str(exc)) from None
 
 
 def builtin_paradigms():
@@ -144,7 +140,7 @@ def _bind(symbols, accepts):
     """Greedy anchored kernel: each element's bound index, or None.  A
     length-1 sequence never matches: one position cannot bind both anchors."""
     if not symbols:
-        raise EmptySequence("cannot match an empty sequence")
+        raise ValueError("cannot match an empty sequence")
     last = len(symbols) - 1
     if last < 1 or symbols[0] not in accepts[0] or symbols[last] not in accepts[-1]:
         return None
@@ -189,7 +185,7 @@ def support(seqs, pattern):
     """Fraction of sequences matched, as an exact rational."""
     seqs = list(seqs)
     if not seqs:
-        raise EmptyCorpus("support over an empty corpus")
+        raise ValueError("support over an empty corpus")
     hits = sum(_bind(s, pattern._accepts) is not None for s in seqs)
     return Fraction(hits, len(seqs))
 
@@ -232,7 +228,7 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
     from statistics import median  # only mining reads it
     seqs = list(seqs)
     if not seqs:
-        raise EmptyCorpus("mining over an empty corpus")
+        raise ValueError("mining over an empty corpus")
     # Range-checked before Fraction(), which raises on inf and nan; a value
     # that rounds to 0 at the 10**-6 resolution is out of range too.
     min_support = 0 < min_support <= 1 and Fraction(min_support).limit_denominator(10**6)
@@ -263,7 +259,7 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
     interior.sort(key=lambda symbol: (median(positions[symbol]), symbol))
 
     if not all(seqs):  # an empty sequence in the corpus is an error, as in support()
-        raise EmptySequence("cannot match an empty sequence")
+        raise ValueError("cannot match an empty sequence")
     if interior:
         candidate = ParadigmPattern((start, *interior, end),
                                     (LINEAR,) * (len(interior) + 1))

@@ -1,10 +1,16 @@
 import pathlib
+import re
 
 import pytest
 
 from narrfunc import annotation
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def exactly(message):
+    """A ``pytest.raises`` match pattern for *message* and nothing else."""
+    return f"^{re.escape(message)}$"
 
 
 def load_seq_file(name):

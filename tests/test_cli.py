@@ -439,6 +439,38 @@ class TestEval:
         assert err.count("\n") == 1
 
 
+# Case -> (argv with "{}" for the input file, its lines, the stderr line):
+# a bad record whose field is thousands of characters long.  The message
+# shows 8 characters of the field and marks the cut with "...".
+LONG_FIELDS = {
+    "stats-genre": (["stats", "{}"], [json.dumps(
+        {"id": "a", "genre": "G" * 5000, "text": "x(A)"})],
+        "line 1: unknown genre 'GGGGGGGG'..."),
+    "parse-offset": (["parse", "{}", "--format", "jsonl"], [
+        '{"id": "a", "genre": "Urban", "clean_text": "ab", "annotations": '
+        '[{"offset": %d, "symbol": "A"}]}' % 10**4000],
+        "line 1: offset 10000000... outside clean text"),
+    "stats-repeated-id": (["stats", "{}"], [json.dumps(
+        {"id": "i" * 3000, "genre": "Urban", "text": "x(A)"})] * 2,
+        "line 2: duplicate segment id 'iiiiiiii'..."),
+    "eval-config-key": (
+        ["eval", "--corpus", str(DATA / "recognition_corpus.jsonl"), "--config", "{}"],
+        ["k" * 3000 + " = v"],
+        "line 1: unknown key 'kkkkkkkk'..., expected one of endpoint, model"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_FIELDS))
+def test_long_field_is_cut_in_its_message(case, tmp_path, capsys):
+    argv, lines, message = LONG_FIELDS[case]
+    path = tmp_path / "input"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *[a.format(path) for a in argv])
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == f"error: malformed record on {message}\n"
+    assert len(err.encode("utf-8")) < 200
+
+
 class TestLoneSurrogate:
     # A JSON escape can spell a lone surrogate, which UTF-8 cannot encode:
     # the record is refused where it is read, before any output or request.

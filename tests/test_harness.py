@@ -17,11 +17,7 @@ from narrfunc.annotation import (
     parse_inline,
     sequence_of,
 )
-from narrfunc.errors import (
-    EmptyCorpus,
-    MalformedRecord,
-    ReplayMiss,
-)
+from narrfunc.errors import MalformedRecord, ReplayMiss
 from narrfunc.harness import (
     BackendConfig,
     HttpBackend,
@@ -34,7 +30,7 @@ from narrfunc.harness import (
     run_recognition,
 )
 
-from conftest import DATA
+from conftest import DATA, exactly
 from test_annotation import _JSON_VALUES, _MISSING, _utf8
 from test_metrics import SMALL_ALPHABET, loop_aggregate, loop_score
 
@@ -112,7 +108,8 @@ class TestMockRecognition:
         assert a.errors == b.errors
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(ValueError, match=exactly(
+                "recognition over an empty corpus")):
             run_recognition(BackendConfig(kind="mock"), [], rounds=2,
                             preds_per_round=2)
 

@@ -1,9 +1,13 @@
 """The README as a contract: what it promises, checked against the code."""
 
+import ast
 import pathlib
 import re
+from fractions import Fraction
 
-from narrfunc import cli
+from narrfunc import cli, paradigm
+
+from conftest import DATA
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
@@ -16,3 +20,38 @@ def test_exit_codes_match_cli():
     listed = [int(code) for code in re.findall(r"`(\d+)` ", exit_codes)]
     defined = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
     assert listed == defined
+
+
+def _python_blocks():
+    text = README.read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+
+
+def _run_block(block, namespace):
+    """Run *block* in *namespace* one statement at a time: the value of each
+    expression statement, in order."""
+    values = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), README.name, "eval")
+            values.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([node], []), README.name, "exec"), namespace)
+    return values
+
+
+def test_python_blocks_give_the_commented_values():
+    library, runs = _python_blocks()
+    names = {}
+    matched, mined = _run_block(library, names)
+    assert names["seq"] == ("K", "J")
+    assert matched == [0, 2, 3]
+    assert (paradigm.emit_pattern(mined.pattern), mined.support) == (
+        "(A)->(Q)->(S)", Fraction(2, 3))
+    # Over the two-segment test corpus the mock backend echoes each segment's
+    # gold annotation: f1 1.0 in 10 x 5 requests per segment, none failed.
+    corpus = repr(str(DATA / "recognition_corpus.jsonl"))
+    names = {}
+    [summary] = _run_block(runs.replace('"corpus.jsonl"', corpus), names)
+    assert summary == (1.0, 10 * 5 * 2, [])
+    assert len(names["episodes"]) == 5
