@@ -116,6 +116,8 @@ def _matrix():
         "stats": ["stats", CORPUS],
         "stats_windows": ["stats", "annotator_a.jsonl", "--windows"],
         "match_pattern": ["match", "plots_battle.seq", "--pattern", "(A)~>{S/O}"],
+        "match_pattern_two_interior": [
+            "match", "plots_battle.seq", "--pattern", "(A)->(K)->(Q)->{O/S}"],
         "eval_mock": ["eval", "--corpus", CORPUS],
         "eval_replay": [
             "eval", "--corpus", CORPUS, "--backend", "replay",
