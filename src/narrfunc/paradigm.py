@@ -8,11 +8,11 @@ for mining and reporting, not for matching, because nonlinear plots
 share only their initial and terminal markers.  ``AltSet`` and
 ``ParadigmPattern`` check a pattern's shape and ``taxonomy`` its symbols;
 ``parse_pattern`` adds the position.  Each pattern is compiled to one
-accepted-symbol set per element; every matcher runs one greedy anchored
-kernel over them, failing fast on the anchors.  ``classify`` runs it only
-on the patterns whose anchors accept a sequence's (first, last) pair, found
-once per distinct pair; ``mine`` counts supports in the anchor-conforming
-sequences.  A sequence is a symbol tuple as loaded (a list is read alike).
+accepted-symbol set per element.  In ``classify`` and ``mine``, once the
+anchors accept a sequence, the shape decides: two elements match two symbols
+or more, three match when the interior set meets ``s[1:-1]``, and longer
+patterns run the greedy anchored kernel, as ``matches`` and ``support`` do
+for every pattern.  A sequence is a symbol tuple as loaded (or a list).
 """
 
 import re
@@ -167,16 +167,21 @@ def matches(seq, pattern):
 
 
 def classify(seqs, patterns):
-    """Each sequence's matching labels in pattern order; equal lists are shared."""
-    by_anchors = {}  # (first, last) -> patterns whose anchors accept the pair
+    """Each sequence's matching labels in pattern order; equal lists are shared.
+    Candidates are found once per (first, last) pair; their shapes decide."""
+    by_anchors = {}  # (first, last) -> (label, accepts, shape) of the candidates
     shared = {}  # label combination -> the one list its sequences share
     verdicts = []
     for s in seqs:
-        key = (s[0], s[-1]) if s else None  # None: all patterns, so _bind raises
+        key = (s[0], s[-1]) if s else None  # None: all patterns, shape 0, so _bind raises
         if (candidates := by_anchors.get(key)) is None:
-            candidates = by_anchors[key] = [p for p in patterns if key is None or (
-                key[0] in p._accepts[0] and key[1] in p._accepts[-1])]
-        labels = [p.plot_label for p in candidates if _bind(s, p._accepts) is not None]
+            candidates = by_anchors[key] = [
+                (p.plot_label, p._accepts, len(p._accepts) if key else 0) for p in patterns
+                if key is None or (key[0] in p._accepts[0] and key[1] in p._accepts[-1])]
+        labels = [label for label, accepts, shape in candidates if (
+            len(s) > 1 if shape == 2 else
+            not accepts[1].isdisjoint(s[1:-1]) if shape == 3 else
+            _bind(s, accepts) is not None)]
         verdicts.append(shared.setdefault(tuple(labels), labels))
     return verdicts
 
@@ -220,7 +225,8 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
     median relative position.  If the resulting linear pattern does not
     itself reach min_support on the corpus (the interiors' relative
     order is not stable enough), the interiors are dropped and the
-    anchors-only nonlinear pattern is returned.
+    anchors-only nonlinear pattern is returned.  Supports are counted in the
+    anchor-conforming sequences; one interior symbol's hits are its count.
 
     Returns ``Mined(pattern, support, min_support)``: the pattern, its exact
     support over the whole corpus, and min_support as applied (at 10**-6).
@@ -263,7 +269,8 @@ def mine(seqs, min_support=Fraction(3, 5), max_alt=2):
     if interior:
         candidate = ParadigmPattern((start, *interior, end),
                                     (LINEAR,) * (len(interior) + 1))
-        hits = sum(_bind(s, candidate._accepts) is not None for s in conforming)
+        hits = len(positions[interior[0]]) if len(interior) == 1 else sum(
+            _bind(s, candidate._accepts) is not None for s in conforming)
         if (share := Fraction(hits, n)) >= min_support:
             return Mined(candidate, share, min_support)
     if (share := Fraction(len(conforming), n)) >= min_support:

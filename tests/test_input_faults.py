@@ -3,11 +3,12 @@
 One hypothesis test drives ``cli.main`` in process over every command that
 reads a file, with generated file contents (random bytes, deep nesting,
 huge ints, NUL, lone surrogates as JSON escapes, CR-only line ends, a
-missing file or a directory) and edge flag values.  Each case gives a
-report with exit 0, or exit 2 or 3 with no report and one stderr line, or
-exit 4 with no report and the ledger (one line per failed request) under
-``--fail-on-error``; ``main`` never raises.  ``stats``' ``warning: empty
-corpus`` is the one other stderr line allowed.
+missing file or a directory), edge flag values and generated ``--pattern``
+values.  Each case gives a report with exit 0, or exit 2 (3 from ``mine``
+alone) with no report and one stderr line, or exit 4 with no report and
+the ledger (one line per failed request) under ``--fail-on-error``;
+``main`` never raises.  ``stats``' ``warning: empty corpus`` is the one
+other stderr line allowed.
 
 Stdout is a strict UTF-8 stream, as a terminal's or a pipe's is, so a
 string that cannot be encoded fails where the real one would.  Sizes stay
@@ -119,6 +120,27 @@ def _contents(draw, kind):
     return sep.join(lines).encode("utf-8", "surrogatepass")
 
 
+# --pattern values: symbols and AltSets (options perhaps repeated), and
+# junk for one element or connector.
+_ELEMENTS = _SYMBOLS.map("({})".format) | st.lists(
+    _SYMBOLS, min_size=2, max_size=3).map(lambda options: "{%s}" % "/".join(options))
+_JUNK = st.one_of(_TOKENS.map("({})".format), _TOKENS.map("{{{}}}".format),
+                  st.sampled_from(["", "A", "(", "{}", "(A", "{A/}", "(\n)", "(A)(S)",
+                                   " ~> ", "-", ">", "->->"]))
+
+
+@st.composite
+def _patterns(draw):
+    """A pattern of 2-5 elements (0-3 interior) joined by either connector,
+    with one element or connector replaced by junk half the time."""
+    parts = [draw(_ELEMENTS)]
+    for _ in range(draw(st.integers(1, 4))):
+        parts += [draw(st.sampled_from(["->", "~>"])), draw(_ELEMENTS)]
+    if draw(st.booleans()):
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(_JUNK)
+    return "".join(parts)
+
+
 _COUNT = st.integers(1, 2) | st.integers(-1, 3)  # rounds, predictions: few requests
 _SIZE = st.integers(-1, 4) | st.just(10**18)
 _SUPPORT = st.sampled_from([0.6, 1.0, 0.0, -1.0, 1.5, 1e-9, float("nan"),
@@ -151,8 +173,9 @@ def _runs(draw):
         if command == "homog":
             argv += ["--method", draw(st.sampled_from(["edit", "lcs"]))]
         elif draw(st.booleans()):
-            argv += ["--pattern", draw(st.sampled_from(
-                ["(A)->(Q)->{O/S}", "(A)~>(S)", "(A)->", "(Zzzzzzzzzzzz)~>(A)"]))]
+            # One argv word: argparse reads a separate value that starts
+            # with "-" as an option, before the program sees it.
+            argv.append(f"--pattern={draw(_patterns())}")
     elif command == "mine":
         kind, argv = "seq", ["mine", F, f"--support={draw(_SUPPORT)!r}",
                              f"--max-alt={draw(_SIZE)}", *fmt]
@@ -213,3 +236,4 @@ def test_every_input_gives_a_report_or_one_error_line(run):
     else:
         assert code in (cli.EXIT_INPUT, cli.EXIT_ANALYTIC), code
         assert out == "" and len(lines) == 1, (out, err)
+        assert code == cli.EXIT_INPUT or argv[0] == "mine", (argv, err)

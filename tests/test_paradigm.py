@@ -491,6 +491,61 @@ def test_shared_anchor_symbol_needs_two_positions():
     assert support([["A"], ["A", "A"]], patterns[0]) == Fraction(1, 2)
 
 
+# classify decides two- and three-element patterns by their shape, without
+# the kernel; these are the edges of that rule, against the loop oracle.
+@pytest.mark.parametrize("pattern, seq, expected", [
+    # The interior symbol occurs only at an anchor position.
+    ("(A)->(A)->(A)", "A-A", False),
+    ("(A)->(A)->(A)", "A-A-A", True),
+    ("(A)->(A)->(A)", "A-B-A", False),
+    ("(A)->(S)->(S)", "A-S", False),
+    ("(A)->(S)->(S)", "A-K-S", False),
+    ("(A)->(S)->(S)", "A-K-S-S", True),
+    # An AltSet as the one interior element.
+    ("(A)->{B/C}->(D)", "A-C-D", True),
+    ("(A)->{B/C}->(D)", "A-K-B-K-D", True),
+    ("(A)->{B/C}->(D)", "A-K-D", False),
+    ("(A)->{B/C}->(D)", "A-D", False),
+    ("(A)->{B/C}->(D)", "A-B-C", False),
+    # Length 1 and 2, with anchors that accept the one symbol at both ends.
+    ("(A)~>(A)", "A", False),
+    ("(A)~>(A)", "A-A", True),
+    ("{A/B}~>{B/A}", "B", False),
+    ("(A)->(A)->(A)", "A", False),
+    ("(A)->(B)->(C)->(A)", "A", False),
+    ("(A)->(B)->(C)->(A)", "A-A", False),
+    ("(A)->(B)->(C)->(A)", "A-C-B-A", False),
+    ("(A)->(B)->(C)->(A)", "A-B-C-A", True),
+])
+def test_shape_rule_edges(pattern, seq, expected):
+    p = parse_pattern(pattern, plot_label="p")
+    symbols = tuple(seq.split("-"))
+    assert oracle_matches(symbols, p) is expected
+    assert classify([symbols], [p]) == [loop_classify(symbols, [p])] == [
+        ["p"] if expected else []]
+
+
+def test_anchor_pair_no_pattern_accepts():
+    seqs = [("K", "F"), ("K", "Q", "F"), ("F",)]
+    assert classify(seqs, builtin_paradigms()) == [[], [], []]
+    assert [loop_classify(s, builtin_paradigms()) for s in seqs] == [[], [], []]
+
+
+# mine takes a one-interior candidate's hits from the position pass; the
+# interior symbol here also sits at an anchor, where it must not count.
+@pytest.mark.parametrize("seqs, emitted", [
+    (["A-A-S", "A-A-S", "A-A-A-S", "A-B-S", "A-S"], "(A)->(A)->(S)"),
+    (["A-S-S", "A-S-S", "A-K-S-S", "A-K-S", "A-S"], "(A)->(S)->(S)"),
+    (["A-A", "A-A-A", "A-A-A", "A-B-A", "A-A-A-A", "A"], "(A)->(A)->(A)"),
+], ids=["start-anchor", "end-anchor", "both-anchors"])
+def test_mine_one_interior_at_an_anchor(seqs, emitted):
+    seqs = [tuple(s.split("-")) for s in seqs]
+    mined = mine(seqs, Fraction(1, 2), 1)
+    assert emit_pattern(mined.pattern) == emitted
+    assert mined.pattern == loop_mine(seqs, Fraction(1, 2), 1)
+    assert mined.support == loop_support(seqs, mined.pattern)
+
+
 @st.composite
 def mining_corpus(draw):
     """1-12 sequences over a 3-4 symbol alphabet: copies of one template

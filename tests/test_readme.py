@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import re
+import shlex
 from fractions import Fraction
 
 from narrfunc import cli, paradigm
@@ -55,3 +56,38 @@ def test_python_blocks_give_the_commented_values():
     [summary] = _run_block(runs.replace('"corpus.jsonl"', corpus), names)
     assert summary == (1.0, 10 * 5 * 2, [])
     assert len(names["episodes"]) == 5
+
+
+# The CLI block's example file names and the tests/data file each line runs
+# on; rec.jsonl becomes an empty replay fixture.  recognition_corpus.jsonl
+# holds too few novels for --windows, so corpus.jsonl is annotator_a.jsonl.
+CLI_INPUTS = {"story.txt": "passage1.txt", "seqs.seq": "plots_battle.seq",
+              "corpus.jsonl": "annotator_a.jsonl", "episodes.seq": "episodes_qwen.seq"}
+
+
+def _cli_lines():
+    """Each ``narrfunc ...`` line of the CLI block as argv, comments cut."""
+    text = README.read_text(encoding="utf-8")
+    [block] = [b for b in re.findall(r"^```sh\n(.*?)^```$", text, re.M | re.S)
+               if b.startswith("narrfunc registry")]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", "").splitlines() if line.strip()]
+
+
+def test_cli_block_lines_exit_0(tmp_path, capsys):
+    (tmp_path / "rec.jsonl").write_bytes(b"")
+    paths = {name: str(DATA / data) for name, data in CLI_INPUTS.items()}
+    paths["rec.jsonl"] = str(tmp_path / "rec.jsonl")
+    used, left_out = set(), []
+    for argv in _cli_lines():
+        assert argv[0] == "narrfunc"
+        if "http" in argv:  # the http backend needs a server to answer it
+            left_out.append(argv[:5])
+            continue
+        used.update(a for a in argv if a in paths)
+        code = cli.main([paths.get(a, a) for a in argv[1:]])
+        out, err = capsys.readouterr()
+        assert (code, err) == (cli.EXIT_OK, ""), argv
+        assert out, argv
+    assert used == set(paths)
+    assert left_out == [["narrfunc", "eval", "--corpus", "corpus.jsonl", "--backend"]]
