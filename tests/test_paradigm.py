@@ -514,6 +514,7 @@ def test_shared_anchor_symbol_needs_two_positions():
     ("(A)->(A)->(A)", "A", False),
     ("(A)->(B)->(C)->(A)", "A", False),
     ("(A)->(B)->(C)->(A)", "A-A", False),
+    # Four elements still run the kernel, which keeps the interior order.
     ("(A)->(B)->(C)->(A)", "A-C-B-A", False),
     ("(A)->(B)->(C)->(A)", "A-B-C-A", True),
 ])
