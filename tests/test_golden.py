@@ -77,6 +77,9 @@ def _matrix():
         "error_corpus_genre_list": ["stats", "{tmp}/genre_list.jsonl"],
         "error_bad_pattern": ["match", "plots_battle.seq", "--pattern", "(A)->"],
         "error_pattern_one_element": ["match", "plots_battle.seq", "--pattern", "(A)"],
+        # A value that starts with "-" goes in as one --pattern=VALUE word.
+        "error_pattern_leading_connector": [
+            "match", "plots_battle.seq", "--pattern=->(A)"],
         "error_bad_timeout": [
             "eval", "--corpus", CORPUS, "--backend", "http",
             "--endpoint", "http://127.0.0.1:9/v1", "--model", "m", "--timeout=0"],
