@@ -12,6 +12,8 @@ annotations in offset order, and every reader takes them as they are.
 
 A function sequence is a ``tuple`` of the registry's own strings on every
 path: it owns no string per token, and the cyclic collector soon untracks it.
+A model reply is read into ``bytes`` of registry codes, which scoring takes
+as they are and :func:`extract_symbols` decodes.
 One loop reads every line file (corpus, ``.seq``, replay, config): blank
 lines are skipped everywhere, ``#`` comments only in ``.seq`` and config.
 """
@@ -100,24 +102,31 @@ def parse_sequence_string(s):
     return tuple(taxonomy.parse_symbol(t.strip(), i) for i, t in enumerate(s.split("-")))
 
 
-def extract_symbols(text):
-    """Registry-interned function symbols in free-form model text.
+def reply_codes(text):
+    """The function symbols in free-form model text, as ``bytes`` of their
+    :data:`taxonomy.CODES`; ``None`` (a failed request) reads as no text.
 
     Only bracketed registry symbols are markers, and they win; with none,
-    the last nonempty line is read as a hyphen sequence (``()`` if bad).
+    the last nonempty line is read as a hyphen sequence (``b""`` if bad).
     """
     text = text or ""
-    symbols = tuple(filter(None, map(taxonomy.CANONICAL.get,
-                                     _MARKER_RE.findall(text.replace("（", "(")))))
-    if symbols:
-        return symbols
+    codes = bytes(filter(None, map(taxonomy.CODES.get,
+                                   _MARKER_RE.findall(text.replace("（", "(")))))
+    if codes:
+        return codes
     for line in reversed(text.splitlines()):
         if line.strip():
             try:
-                return parse_sequence_string(line)
+                return bytes(map(taxonomy.CODES.get, parse_sequence_string(line)))
             except UnknownSymbol:
-                return ()
-    return ()
+                return b""
+    return b""
+
+
+def extract_symbols(text):
+    """Registry-interned function symbols in free-form model text: the
+    decode of :func:`reply_codes`, a tuple."""
+    return tuple(taxonomy.SYMBOLS[code - 1] for code in reply_codes(text))
 
 
 def read_lines(path):

@@ -352,7 +352,8 @@ def build_parser():
 
     p = sub.add_parser("match", help="match sequences against paradigms")
     p.add_argument("sequences")
-    p.add_argument("--pattern", help="pattern string; default: all builtins")
+    p.add_argument("--pattern", help="pattern string; default: all builtins. "
+                   "Write a value that starts with '-' as --pattern=VALUE")
     common_output(p)
     p.set_defaults(func=cmd_match)
 

@@ -184,6 +184,8 @@ def parse_model_output(text, expected_instances):
     Symbols from :func:`annotation.extract_symbols` align to gold
     instances by order; missing positions become absent, surplus ones
     count as extras.  A failed request's ``None`` scores all absent.
+    :func:`run_recognition` does the same alignment on the reply's codes
+    inside :func:`metrics.tally`, without this tuple.
     """
     symbols = annotation.extract_symbols(text)
     # One tuple at most: a slice or pad that changes nothing returns symbols.
@@ -240,8 +242,7 @@ def run_recognition(cfg, segments, rounds=10, preds_per_round=5, seed=0):
         if exc is not None:
             errors.append(_error_entry(exc, round=r, prediction=p,
                                        segment=seg.id))
-        tallies.append(metrics.tally(
-            gold, parse_model_output(text, len(seg.annotations))))
+        tallies.append(metrics.tally(gold, annotation.reply_codes(text)))
 
     def scored(k):
         """Score the k-th (round, prediction): tasks run in that order, so

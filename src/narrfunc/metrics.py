@@ -8,11 +8,14 @@ the overall ("sum") accuracy and precision only.
 
 Scores are ratios of int tallies, which add up over segments: a run tallies
 each reply against its own segment's gold, as if scoring the concatenation.
+A reply is tallied as ``bytes`` of registry codes (:data:`taxonomy.CODES`),
+with whole-int operations and no step per instance.
 """
 
 from collections import Counter, namedtuple
-from itertools import compress
-from operator import eq
+
+from . import taxonomy
+from .errors import UnknownSymbol
 
 COMMON = "common"
 RARE = "rare"
@@ -56,23 +59,33 @@ def _split_metrics(matched, n_gold, n_predicted, extras):
 
 
 def gold_splits(gold):
-    """Gold instances prepared for :func:`tally`: per split (common, then
-    rare), its symbols and the mask of its positions."""
-    common = [g.split == COMMON for g in gold]
-    symbols = [g.symbol for g in gold]
-    return [(list(compress(symbols, mask)), mask)
-            for mask in (common, [not c for c in common])]
+    """Gold instances prepared once for :func:`tally`, as big-endian ints: their
+    codes and a 0xFF mask over the rare positions; then the instance and rare
+    counts.  A symbol outside the registry raises :class:`UnknownSymbol`."""
+    try:
+        codes = bytes([taxonomy.CODES[g.symbol] for g in gold])
+    except KeyError as exc:
+        raise UnknownSymbol(exc.args[0]) from None
+    rare = bytes([0 if g.split == COMMON else 0xFF for g in gold])
+    return (int.from_bytes(codes, "big"), int.from_bytes(rare, "big"),
+            len(codes), rare.count(0xFF))
 
 
-def tally(splits, pred):
-    """Int tallies of one prediction against :func:`gold_splits`:
-    ``(matched, gold, predicted)`` per split, then the extras."""
+def tally(gold, codes):
+    """Int tallies of one reply's ``bytes`` of codes against :func:`gold_splits`:
+    ``(matched, gold, predicted)`` per split, then the extras.  The reply, cut
+    or padded with 0xFF (absent; no symbol's code) to the gold's length, is one
+    int: a zero byte of ``reply ^ gold`` is a match and one of ``reply ^ all_ff``
+    an absence, and or-ing in one split's mask hides that split's bytes."""
+    symbols, rare, n, n_rare = gold
+    all_ff = (1 << 8 * n) - 1
+    reply = int.from_bytes(codes[:n].ljust(n, b"\xff"), "big")
+    miss, absent = reply ^ symbols, reply ^ all_ff
     out = []
-    for symbols, mask in splits:
-        aligned = list(compress(pred.per_instance, mask))
-        out += (sum(map(eq, symbols, aligned)), len(symbols),
-                len(aligned) - aligned.count(ABSENT))
-    return (*out, pred.extras)
+    for hide, n_split in ((rare, n - n_rare), (rare ^ all_ff, n_rare)):
+        out += ((miss | hide).to_bytes(n, "big").count(0), n_split,
+                n_split - (absent | hide).to_bytes(n, "big").count(0))
+    return (*out, max(0, len(codes) - n))
 
 
 def split_scores(tallies):
@@ -93,7 +106,10 @@ def score_instances(gold, pred):
             f"{len(pred.per_instance)} predictions for {len(gold)} instances")
     if pred.extras < 0:
         raise ValueError("extras must be >= 0")
-    return split_scores(tally(gold_splits(gold), pred))
+    # A value outside the registry gets code 0, which matches no gold code.
+    codes = bytes([0xFF if p is ABSENT else taxonomy.CODES.get(p, 0)
+                   for p in pred.per_instance])
+    return split_scores((*tally(gold_splits(gold), codes)[:-1], pred.extras))
 
 
 def _population_std(values):

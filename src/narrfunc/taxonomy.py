@@ -93,6 +93,9 @@ _FUNCTIONS = (
 SYMBOLS = tuple(f.symbol for f in _FUNCTIONS)
 #: Each symbol onto itself: a lookup yields the registry's own string.
 CANONICAL = {s: s for s in SYMBOLS}
+#: Each symbol onto its one-byte code, its 1-based position in SYMBOLS: no
+#: symbol's code is 0 or 0xFF, and ``SYMBOLS[code - 1]`` decodes it.
+CODES = {s: i for i, s in enumerate(SYMBOLS, start=1)}
 
 _LEGACY = (
     LegacyFunctionDef("a", "Initial situation",

@@ -247,6 +247,42 @@ class TestExtractSymbols:
         assert _extract_via_parse_inline(full_width) == symbols
 
 
+def _tuple_extract_symbols(text):
+    """Oracle: the tuple reader that ``reply_codes`` replaced, as it was."""
+    text = text or ""
+    symbols = tuple(filter(None, map(taxonomy.CANONICAL.get,
+                                     annotation._MARKER_RE.findall(
+                                         text.replace("（", "(")))))
+    if symbols:
+        return symbols
+    for line in reversed(text.splitlines()):
+        if line.strip():
+            try:
+                return parse_sequence_string(line)
+            except UnknownSymbol:
+                return ()
+    return ()
+
+
+class TestReplyCodes:
+    @given(st.one_of(st.none(), st.just(""), _reply_text))
+    @example("(ok)（xq）(注)\nEm-Lo-Ch")
+    @example("(C)(Ch)（Cx）(C）\nA-Q-S")
+    @example("A-Qx-S")
+    def test_equals_tuple_reader_oracle(self, text):
+        symbols = _tuple_extract_symbols(text)
+        codes = annotation.reply_codes(text)
+        assert type(codes) is bytes
+        assert codes == bytes(taxonomy.CODES[s] for s in symbols)
+        assert extract_symbols(text) == symbols
+
+    def test_codes_are_registry_positions(self):
+        assert [taxonomy.CODES[s] for s in taxonomy.SYMBOLS] == list(range(1, 35))
+        assert annotation.reply_codes("(A)(Lo)（Ch）") == bytes([1, 34, 22])
+        assert annotation.reply_codes("A - Lo") == bytes([1, 34])
+        assert annotation.reply_codes(None) == annotation.reply_codes("") == b""
+
+
 class TestParseSequenceString:
     def test_episodes_examples(self):
         assert parse_sequence_string("A-Lo-E-Q-P-S") == \

@@ -107,6 +107,19 @@ class TestMockRecognition:
         assert a.report == b.report
         assert a.errors == b.errors
 
+    def test_library_defaults_send_10_rounds_of_5(self, segments, monkeypatch):
+        tags = []
+        complete = harness.MockBackend.complete
+
+        def recording(backend, payload):
+            tags.append(payload["tag"])
+            return complete(backend, payload)
+
+        monkeypatch.setattr(harness.MockBackend, "complete", recording)
+        result = run_recognition(BackendConfig(kind="mock"), segments)
+        assert result.requests == len(tags) == 10 * 5 * len(segments)
+        assert tags[-1] == f"recognition:seed=0:round=9:pred=4:seg={segments[-1].id}"
+
     def test_empty_corpus(self):
         with pytest.raises(ValueError, match=exactly(
                 "recognition over an empty corpus")):
@@ -291,6 +304,13 @@ class TestContinuation:
         assert len(episodes_a) == 2
         assert seqs_a == seqs_b
         assert all(s == ("A", "Q", "S") for s in seqs_a)
+
+    def test_library_default_is_5_episodes(self, segments):
+        episodes, seqs, errors = run_continuation(BackendConfig(kind="mock"),
+                                                  segments[0])
+        assert len(episodes) == len(seqs) == 5
+        assert errors == []
+        assert episodes[-1].startswith("[continuation:seed=0:episode=4]")
 
     def test_replay_hyphen_line_episodes(self, tmp_path, segments):
         # Each recorded episode ends in one doubao sequence, so the replayed

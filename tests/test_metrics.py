@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from narrfunc import metrics, taxonomy
+from narrfunc.errors import UnknownSymbol
 from narrfunc.metrics import (
     ABSENT,
     Prediction,
@@ -240,15 +241,69 @@ def test_score_instances_equals_loop_oracle(case):
     assert score_instances(gold, pred) == loop_score(gold, pred)
 
 
+def reply_codes_of(pred):
+    """A reply's codes that align to *pred*: its instances (0xFF for
+    ABSENT), then one code per extra."""
+    return (bytes([0xFF if p is ABSENT else taxonomy.CODES[p] for p in pred.per_instance])
+            + bytes([taxonomy.CODES["A"]]) * pred.extras)
+
+
 @given(st.lists(scored_predictions(), min_size=1, max_size=4))
 def test_tallies_of_parts_add_up_to_the_whole(parts):
     whole_gold = [g for gold, _ in parts for g in gold]
     whole_pred = Prediction([p for _, pred in parts for p in pred.per_instance],
                             sum(pred.extras for _, pred in parts))
     summed = [sum(column) for column in zip(*(
-        metrics.tally(metrics.gold_splits(gold), pred) for gold, pred in parts))]
-    assert summed == list(metrics.tally(metrics.gold_splits(whole_gold), whole_pred))
+        metrics.tally(metrics.gold_splits(gold), reply_codes_of(pred))
+        for gold, pred in parts))]
+    assert summed == list(metrics.tally(metrics.gold_splits(whole_gold),
+                                        reply_codes_of(whole_pred)))
     assert metrics.split_scores(summed) == loop_score(whole_gold, whole_pred)
+
+
+@st.composite
+def gold_and_replies(draw):
+    """Gold symbols (0-40) and a reply of symbols or ABSENT, anywhere, from
+    empty to four longer than the gold."""
+    symbols = draw(st.lists(st.sampled_from(taxonomy.SYMBOLS), max_size=40))
+    reply = draw(st.lists(st.one_of(st.none(), st.sampled_from(taxonomy.SYMBOLS)),
+                          max_size=len(symbols) + 4))
+    return symbols, reply
+
+
+@given(gold_and_replies())
+@example((["K", "Ch"], []))
+@example((["K", "Ch"], [None, None, None, "A"]))
+@example(([], ["A", None]))
+def test_code_tally_equals_loop_oracle(case):
+    symbols, reply = case
+    gold, n = gold_instances(symbols), len(symbols)
+    aligned = Prediction(reply[:n] + [ABSENT] * (n - len(reply)),
+                         max(0, len(reply) - n))
+    codes = bytes([0xFF if p is ABSENT else taxonomy.CODES[p] for p in reply])
+    tallies = metrics.tally(metrics.gold_splits(gold), codes)
+    assert tallies[-1] == aligned.extras
+    assert metrics.split_scores(tallies) == loop_score(gold, aligned)
+
+
+@given(scored_predictions(), st.data())
+def test_prediction_outside_the_registry_scores_as_wrong(case, data):
+    gold, pred = case
+    # Each predicted symbol may turn into a value that no gold symbol equals.
+    stray = [data.draw(st.sampled_from((p, "Qx", "", "k", 0)))
+             if p is not ABSENT else p for p in pred.per_instance]
+    pred = pred._replace(per_instance=stray)
+    assert score_instances(gold, pred) == loop_score(gold, pred)
+
+
+@pytest.mark.parametrize("symbols", [["Qx"], ["K", "A", "Zz"], ["k"]])
+def test_gold_symbol_outside_the_registry_raises(symbols):
+    gold = gold_instances(symbols)
+    with pytest.raises(UnknownSymbol) as exc_info:
+        metrics.gold_splits(gold)
+    assert exc_info.value.token == symbols[-1]
+    with pytest.raises(UnknownSymbol):
+        score_instances(gold, Prediction([ABSENT] * len(gold), 0))
 
 
 _unit = st.floats(0, 1)
