@@ -106,9 +106,10 @@ def score_instances(gold, pred):
             f"{len(pred.per_instance)} predictions for {len(gold)} instances")
     if pred.extras < 0:
         raise ValueError("extras must be >= 0")
-    # A value outside the registry gets code 0, which matches no gold code.
+    # ABSENT is 0xFF; any other value outside the registry, a non-string
+    # too, gets code 0, which matches no gold code.
     codes = bytes([0xFF if p is ABSENT else taxonomy.CODES.get(p, 0)
-                   for p in pred.per_instance])
+                   if isinstance(p, str) else 0 for p in pred.per_instance])
     return split_scores((*tally(gold_splits(gold), codes)[:-1], pred.extras))
 
 

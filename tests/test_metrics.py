@@ -290,7 +290,7 @@ def test_code_tally_equals_loop_oracle(case):
 def test_prediction_outside_the_registry_scores_as_wrong(case, data):
     gold, pred = case
     # Each predicted symbol may turn into a value that no gold symbol equals.
-    stray = [data.draw(st.sampled_from((p, "Qx", "", "k", 0)))
+    stray = [data.draw(st.sampled_from((p, "Qx", "", "k", 0, [p])))
              if p is not ABSENT else p for p in pred.per_instance]
     pred = pred._replace(per_instance=stray)
     assert score_instances(gold, pred) == loop_score(gold, pred)
