@@ -3,7 +3,7 @@
 Subcommands tie the library into reproducible workflows; every report
 opens with a provenance header (tool version, effective settings, input
 digests) so each number can be traced to its inputs.  Each input is read
-once (:func:`annotation.read_lines`); the header digests the bytes parsed.
+once (:func:`annotation.load_file`); the header digests the bytes parsed.
 Each ``cmd_*`` builds and returns its report, which :func:`main` writes
 through :func:`_emit`; it writes nothing itself, save ``stats``' stderr
 ``warning: empty corpus``.  Each command imports the layers it runs.  All
@@ -113,8 +113,8 @@ def _text_lines(obj, indent=""):
 def _resolved(args, keys):
     """flags > env (NARR_<KEY>) > config file; and the config file's
     ``{path: digest}``."""
-    lines, inputs = annotation.read_lines(args.config) if args.config else ([], {})
-    file_cfg = annotation.load_config(lines, keys)
+    file_cfg, inputs = (annotation.load_file(args.config, annotation.load_config,
+                                             keys=keys) if args.config else ({}, {}))
     resolved = {}
     for key in keys:
         flag = getattr(args, key, None)
@@ -136,20 +136,25 @@ def cmd_registry(args):
     return lines
 
 
+def _inline_chunks(lines):
+    """An inline file's segments: a blank line splits them."""
+    return [c for c in "\n".join(lines).removesuffix("\n").split("\n\n") if c.strip()]
+
+
 def cmd_parse(args):
-    lines, inputs = annotation.read_lines(args.input)
     if args.format == "seq":
-        seqs = annotation.load_sequences(lines)
+        seqs, inputs = annotation.load_file(args.input, annotation.load_sequences)
         return {
             "header": _header("parse", {"format": "seq"}, inputs),
             "sequences": ["-".join(s) for s in seqs],
             "count": len(seqs),
         }
-    header = _header("parse", {"format": args.format, "strict": args.strict}, inputs)
+    settings = {"format": args.format, "strict": args.strict}
     if args.format == "jsonl":
-        segments = annotation.load_corpus(lines, strict=args.strict)
+        segments, inputs = annotation.load_file(args.input, annotation.load_corpus,
+                                                strict=args.strict)
         return {
-            "header": header,
+            "header": _header("parse", settings, inputs),
             "segments": [
                 {"id": s.id, "genre": s.genre,
                  "sequence": "-".join(annotation.sequence_of(s)),
@@ -158,8 +163,7 @@ def cmd_parse(args):
             ],
             "count": len(segments),
         }
-    # inline: whole file is one segment, blank line splits segments
-    chunks = [c for c in "\n".join(lines).removesuffix("\n").split("\n\n") if c.strip()]
+    chunks, inputs = annotation.load_file(args.input, _inline_chunks)
     segments = []
     for i, chunk in enumerate(chunks, start=1):
         clean, anns = annotation.parse_inline(chunk, strict=args.strict)
@@ -170,7 +174,7 @@ def cmd_parse(args):
             "chars": len(clean),
         })
     return {
-        "header": header,
+        "header": _header("parse", settings, inputs),
         "segments": segments,
         "count": len(segments),
         "total_annotations": sum(s["annotations"] for s in segments),
@@ -179,8 +183,8 @@ def cmd_parse(args):
 
 def cmd_stats(args):
     from . import homogenization
-    lines, inputs = annotation.read_lines(args.corpus)
-    segments = annotation.load_corpus(lines, strict=args.strict)
+    segments, inputs = annotation.load_file(args.corpus, annotation.load_corpus,
+                                            strict=args.strict)
     if not segments:
         print("warning: empty corpus", file=sys.stderr)
     if args.windows:
@@ -208,8 +212,7 @@ def cmd_stats(args):
 
 
 def _load_seq_file(path):  # the one .seq reader: (sequences, {path: digest})
-    lines, inputs = annotation.read_lines(path)
-    return annotation.load_sequences(lines), inputs
+    return annotation.load_file(path, annotation.load_sequences)
 
 
 def _support_fields(frac):
@@ -259,8 +262,7 @@ class _FailedRequests(Exception):
 
 def cmd_eval(args):
     from . import harness
-    lines, inputs = annotation.read_lines(args.corpus)
-    segments = annotation.load_corpus(lines)
+    segments, inputs = annotation.load_file(args.corpus, annotation.load_corpus)
     resolved, config_inputs = _resolved(args, ["endpoint", "model"])
     cfg = harness.BackendConfig(
         kind=args.backend, endpoint=resolved["endpoint"],

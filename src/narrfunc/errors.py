@@ -32,10 +32,15 @@ class ParenthesizedUnknownToken(NarrfuncError):
 
 
 class MalformedRecord(NarrfuncError):
-    def __init__(self, line_no, reason):
+    """A line of an input file that cannot be read; the message names the
+    file too when *path* is given, as in ``c.jsonl: line 1: ...``."""
+
+    def __init__(self, line_no, reason, path=None):
         self.line_no = line_no
         self.reason = reason
-        super().__init__(f"malformed record on line {line_no}: {reason}")
+        self.path = path
+        super().__init__(f"malformed record on line {line_no}: {reason}" if path is None
+                         else f"{path}: line {line_no}: {reason}")
 
 
 class PatternSyntaxError(NarrfuncError):

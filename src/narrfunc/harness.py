@@ -22,6 +22,7 @@ import json
 import math
 import os
 from collections import namedtuple
+from itertools import chain
 
 from . import annotation, metrics, taxonomy
 from .annotation import emit_inline, sequence_of
@@ -107,8 +108,7 @@ class ReplayBackend:
     A fixture that cannot be read or parsed raises here, as any input file does."""
 
     def __init__(self, path):
-        lines, self.inputs = annotation.read_lines(path)
-        self._responses = annotation.load_replay(lines)
+        self._responses, self.inputs = annotation.load_file(path, annotation.load_replay)
 
     def complete(self, payload):
         digest = request_digest(payload)
@@ -219,37 +219,40 @@ def _collect(backend, payloads, max_parallel):
 
 def run_recognition(cfg, segments, rounds=10, preds_per_round=5, seed=0):
     """Score ``rounds x preds_per_round`` predictions over the gold-annotated
-    segments and aggregate them per round."""
+    segments and aggregate them per round.
+
+    Each reply is read once into codes (:func:`annotation.reply_codes`).  A
+    (round, prediction) asks for every segment once, in one consecutive block
+    of replies, which :func:`metrics.tally` takes as one ``bytes``, each reply
+    cut or padded to its own segment's gold, against the gold of all the
+    segments, prepared once per run: the same tallies as one per reply."""
     if not segments:
         raise ValueError("recognition over an empty corpus")
     backend = make_backend(cfg, segments)
     system = DEFAULT_RECOGNITION_TEMPLATE.format(functions=functions_block())
-    golds = [metrics.gold_splits(metrics.gold_instances(sequence_of(seg)))
-             for seg in segments]  # prepared once per run
-    tasks = []  # (round, pred, segment, its gold, payload)
+    gold = metrics.gold_splits(metrics.gold_instances(
+        chain.from_iterable(map(sequence_of, segments))))
+    lengths = [len(seg.annotations) for seg in segments]
+    tasks = []  # (round, pred, segment, payload)
     for r in range(rounds):
         for p in range(preds_per_round):
-            for seg, gold in zip(segments, golds):
+            for seg in segments:
                 tag = f"recognition:seed={seed}:round={r}:pred={p}:seg={seg.id}"
-                tasks.append((r, p, seg, gold, build_payload(
-                    cfg, system, seg.clean_text, tag)))
+                tasks.append((r, p, seg, build_payload(cfg, system, seg.clean_text, tag)))
 
-    results = _collect(backend, [t[4] for t in tasks], cfg.max_parallel)
+    results = _collect(backend, [t[3] for t in tasks], cfg.max_parallel)
 
-    errors = []
-    tallies = []  # one per reply, against its own segment's gold
-    for (r, p, seg, gold, _), (text, exc) in zip(tasks, results):
-        if exc is not None:
-            errors.append(_error_entry(exc, round=r, prediction=p,
-                                       segment=seg.id))
-        tallies.append(metrics.tally(gold, annotation.reply_codes(text)))
+    errors = [_error_entry(exc, round=r, prediction=p, segment=seg.id)
+              for (r, p, seg, _), (_, exc) in zip(tasks, results) if exc is not None]
+    codes = [annotation.reply_codes(text) for text, _ in results]
 
     def scored(k):
-        """Score the k-th (round, prediction): tasks run in that order, so
-        its replies are one consecutive block, and their summed tallies
-        are those of the concatenated segments."""
-        block = tallies[k * len(segments):(k + 1) * len(segments)]
-        return metrics.split_scores([sum(column) for column in zip(*block)])
+        """Score the k-th (round, prediction) from its block of replies."""
+        block = codes[k * len(segments):(k + 1) * len(segments)]
+        *counts, _ = metrics.tally(gold, b"".join(
+            [c[:n].ljust(n, b"\xff") for c, n in zip(block, lengths)]))
+        extras = sum(max(0, len(c) - n) for c, n in zip(block, lengths))
+        return metrics.split_scores((*counts, extras))
 
     report = metrics.aggregate(
         [[scored(r * preds_per_round + p) for p in range(preds_per_round)]

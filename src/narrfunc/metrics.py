@@ -6,13 +6,16 @@ order, and spurious predicted markers count as extras.  Extras cannot be
 assigned a common/rare split (they match no gold symbol), so they affect
 the overall ("sum") accuracy and precision only.
 
-Scores are ratios of int tallies, which add up over segments: a run tallies
-each reply against its own segment's gold, as if scoring the concatenation.
-A reply is tallied as ``bytes`` of registry codes (:data:`taxonomy.CODES`),
-with whole-int operations and no step per instance.
+Scores are ratios of int tallies, which add up over segments, so a run
+scores each (round, prediction) as the concatenation of its replies: one
+tally of their codes, each reply cut or padded to its own segment's gold,
+against the gold of all segments, prepared once.  Replies are tallied as
+``bytes`` of registry codes (:data:`taxonomy.CODES`), with whole-int
+operations and no step per instance.
 """
 
 from collections import Counter, namedtuple
+from itertools import repeat
 
 from . import taxonomy
 from .errors import UnknownSymbol
@@ -26,6 +29,8 @@ DEFAULT_COMMON = frozenset({"K", "E", "F", "A"})
 #: Marks a gold instance the model produced no symbol for.
 ABSENT = None
 
+_COMMON_SPLIT = dict.fromkeys(DEFAULT_COMMON, COMMON)
+
 
 # split: COMMON | RARE
 GoldInstance = namedtuple("GoldInstance", "symbol split")
@@ -38,8 +43,12 @@ EvaluationReport = namedtuple("EvaluationReport", "common rare sum")
 
 
 def gold_instances(symbols):
-    """Gold instances of an ordered symbol list; outside DEFAULT_COMMON is rare."""
-    return [GoldInstance(s, COMMON if s in DEFAULT_COMMON else RARE) for s in symbols]
+    """Gold instances of an ordered symbol list; outside DEFAULT_COMMON is rare.
+    ``tuple.__new__`` builds each one in C, not through the namedtuple's
+    Python-level constructor."""
+    symbols = list(symbols)
+    splits = map(_COMMON_SPLIT.get, symbols, repeat(RARE))
+    return list(map(tuple.__new__, repeat(GoldInstance), zip(symbols, splits)))
 
 
 def _ratio(num, den):
@@ -76,7 +85,9 @@ def tally(gold, codes):
     ``(matched, gold, predicted)`` per split, then the extras.  The reply, cut
     or padded with 0xFF (absent; no symbol's code) to the gold's length, is one
     int: a zero byte of ``reply ^ gold`` is a match and one of ``reply ^ all_ff``
-    an absence, and or-ing in one split's mask hides that split's bytes."""
+    an absence, and or-ing in one split's mask hides that split's bytes.
+    Replies each cut or padded to their own golds, then joined, tally against
+    the joined golds as the sum of their own tallies, save the extras."""
     symbols, rare, n, n_rare = gold
     all_ff = (1 << 8 * n) - 1
     reply = int.from_bytes(codes[:n].ljust(n, b"\xff"), "big")

@@ -204,10 +204,10 @@ def _extract_via_parse_inline(text):
 
 
 _OPEN, _CLOSE = ("(", "（"), (")", "）")
-_TOKENS = (*taxonomy.SYMBOLS, "ok", "xq", "注", "Ab", "Cx", "Zz", "h", "")
+_TOKENS = (*taxonomy.SYMBOLS, "ok", "xq", "注", "Ab", "AB", "Cx", "Zz", "h", "")
 _PIECES = ("(ok)", "（xq）", "(注)", "((K)", "(K))", "(C)", "(Ch)", "(Cx)",
-           "(Ab)", "(C(Ch)", "(Ch)(C)", "\n", "\n\n", "  \n", "文本。", "x ",
-           "(", ")", "（", "）", "-", "C", "h")
+           "(Ab)", "(AB)", "((A)x)", "(C(Ch)", "(Ch)(C)", "(C", "（De", "\n",
+           "\n\n", "  \n", "文本。", "x ", "(", ")", "（", "）", "-", "C", "h")
 _reply_text = st.lists(st.one_of(
     st.sampled_from(_PIECES),
     st.builds("".join, st.tuples(st.sampled_from(_OPEN), st.sampled_from(_TOKENS),
@@ -247,11 +247,82 @@ class TestExtractSymbols:
         assert _extract_via_parse_inline(full_width) == symbols
 
 
+# The generic scan that the registry marker grammar replaced: any one- or
+# two-letter token in brackets, kept only if the registry has it.
+_GENERIC_MARKER_RE = re.compile(r"\(([A-Za-z]{1,2})[)）]")
+
+
+def _finditer_parse_inline(text, strict=False):
+    """Oracle: ``parse_inline`` as a loop over the generic scan, as it was."""
+    clean = []
+    annotations = []
+    pos = 0
+    offset = 0  # length of the clean text so far
+    for m in _GENERIC_MARKER_RE.finditer(text.replace("（", "(")):
+        token = m.group(1)
+        symbol = taxonomy.CANONICAL.get(token)
+        if symbol is not None:
+            clean.append(text[pos:m.start()])
+            offset += m.start() - pos
+            annotations.append(Annotation(offset, symbol))
+            pos = m.end()
+        elif strict:
+            raise ParenthesizedUnknownToken(offset + (m.start() - pos), token)
+    clean.append(text[pos:])
+    return "".join(clean), annotations
+
+
+def _generic_reply_codes(text):
+    """Oracle: the reply reader before the registry grammar, as it was: the
+    generic scan, each token through ``CODES.get``, unknown ones dropped."""
+    text = text or ""
+    codes = bytes(filter(None, map(taxonomy.CODES.get, _GENERIC_MARKER_RE.findall(
+        text.replace("（", "(")))))
+    if codes:
+        return codes
+    for line in reversed(text.splitlines()):
+        if line.strip():
+            try:
+                return bytes(map(taxonomy.CODES.get, parse_sequence_string(line)))
+            except UnknownSymbol:
+                return b""
+    return b""
+
+
+def _strict(parse, text):
+    """``parse(text, strict=True)``, or the token and offset it refused."""
+    try:
+        return parse(text, strict=True)
+    except ParenthesizedUnknownToken as exc:
+        return exc.token, exc.offset
+
+
+class TestMarkerGrammar:
+    @given(_reply_text)
+    @example("x(C")
+    @example("((A)x)(AB)(Ab)（xq）(ok)")
+    @example("(o(K)k)")
+    @example("（ok）(C(Ch)（De")
+    def test_parse_inline_equals_finditer_oracle(self, text):
+        clean, anns = parse_inline(text)
+        assert (clean, anns) == _finditer_parse_inline(text)
+        assert all(type(a) is Annotation for a in anns)
+        assert all(a.symbol is taxonomy.CANONICAL[a.symbol] for a in anns)
+        assert _strict(parse_inline, text) == _strict(_finditer_parse_inline, text)
+
+    @given(st.one_of(st.none(), _reply_text))
+    @example("x(C")
+    @example("((A)x)(AB)(Ab)（xq）(ok)\nEm-Lo")
+    @example("(Ch)(C)(Fr)(F)(Fa)(Re)(R)(De)(D)(Em)(E)(Fi)(Lo)(L)")
+    def test_reply_codes_equals_generic_reader_oracle(self, text):
+        assert annotation.reply_codes(text) == _generic_reply_codes(text)
+
+
 def _tuple_extract_symbols(text):
     """Oracle: the tuple reader that ``reply_codes`` replaced, as it was."""
     text = text or ""
     symbols = tuple(filter(None, map(taxonomy.CANONICAL.get,
-                                     annotation._MARKER_RE.findall(
+                                     _GENERIC_MARKER_RE.findall(
                                          text.replace("（", "(")))))
     if symbols:
         return symbols
@@ -453,6 +524,10 @@ class TestLoadSequences:
         seq_path.write_bytes(text.encode("utf-8"))
         with open(seq_path, encoding="utf-8") as fh:
             expected = _loaded(loop_load_sequences, fh)
+        if isinstance(expected, tuple):  # the same fault, and the file's name
+            line_no, message = expected
+            expected = line_no, message.replace(
+                "malformed record on line", f"{seq_path}: line", 1)
         assert _loaded(lambda path: cli._load_seq_file(path)[0], seq_path) == expected
         if isinstance(expected, list):
             registry = {id(s) for s in taxonomy.SYMBOLS}
@@ -551,6 +626,11 @@ def _documented_segment(field, value):
     if field == "offset" and kind is int and 0 <= value <= 2:
         return AnnotatedSegment("s", "Urban", "xy", [Annotation(value, "A")])
     return None
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus") / "c.jsonl"
 
 
 class TestLoadCorpus:
@@ -706,23 +786,25 @@ class TestLoadCorpus:
     @example("text", _MISSING)
     @example("id", "\ud800")
     @example("text", "x(A)\udfff")
-    def test_each_field_of_each_json_type(self, field, value):
+    def test_each_field_of_each_json_type(self, corpus_path, field, value):
         # A field replaced by a value of any JSON type, or deleted, gives the
-        # documented segment or an error that names the field.
+        # documented segment or an error that names the file, the line and
+        # the field.
         record = json.loads(json.dumps(_BASE_RECORDS[field]))
         holder = record["annotations"][0] if field in ("offset", "symbol") else record
         if value is _MISSING:
             del holder[field]
         else:
             holder[field] = value
-        line = json.dumps(record)
+        corpus_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         expected = _documented_segment(field, value)
         if expected is not None:
-            assert load_corpus([line]) == [expected]
+            assert annotation.load_file(corpus_path, load_corpus)[0] == [expected]
             return
         with pytest.raises(MalformedRecord) as exc_info:
-            load_corpus([line])
+            annotation.load_file(corpus_path, load_corpus)
         reason = exc_info.value.reason
+        assert str(exc_info.value) == f"{corpus_path}: line 1: {reason}"
         # A record without text is read in the offset form.
         named = "clean_text" if (field, value) == ("text", _MISSING) else field
         assert re.search(rf"\b{named}\b", reason), reason

@@ -177,12 +177,12 @@ class TestMatch:
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("content, argv, message", [
         ("", [], "error: support over an empty corpus"),
-        ("A-Q-S\nA-K-O\nA-Qx-S\n", [], "error: malformed record on line 3: "
+        ("A-Q-S\nA-K-O\nA-Qx-S\n", [], "error: {path}: line 3: "
                                        "unknown function symbol 'Qx' at position 1"),
         ("A-Q-S\n", ["--pattern", "(A)->"], "error: pattern syntax error at 5: "),
         # A JSONL record read as one symbol: 8 characters of it are quoted.
         ('{"id": "a", "text": "%s"}\n' % ("x" * 900), [],
-         "error: malformed record on line 1: unknown function symbol "
+         "error: {path}: line 1: unknown function symbol "
          "'{\"id\": \"'... at position 0\n"),
     ], ids=["empty-file", "unknown-symbol-on-last-line", "malformed-pattern",
             "jsonl-record"])
@@ -194,7 +194,7 @@ class TestMatch:
                                  "--output-format", fmt)
         assert code == cli.EXIT_INPUT
         assert out == ""
-        assert err.startswith(message)
+        assert err.startswith(message.replace("{path}", str(p)))
 
     @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("plots_*.seq")))
     def test_json_report_is_canonical(self, capsys, name):
@@ -351,7 +351,7 @@ class TestEval:
             "--backend", "replay", "--replay-path", str(replay))
         assert code == cli.EXIT_INPUT
         assert out == ""
-        assert err.startswith("error: malformed record on line 3: ")
+        assert err.startswith(f"error: {replay}: line 3: ")
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_max_parallel_below_1_exit_2(self, capsys, value):
@@ -382,7 +382,7 @@ class TestEval:
             "--backend", "http", "--config", str(cfg))
         assert code == cli.EXIT_INPUT
         assert out == ""
-        assert err == "error: malformed record on line 3: expected key=value\n"
+        assert err == f"error: {cfg}: line 3: expected key=value\n"
 
     def test_config_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "narr.cfg"
@@ -392,7 +392,7 @@ class TestEval:
             "--rounds", "1", "--preds", "1", "--config", str(cfg))
         assert code == cli.EXIT_INPUT
         assert out == ""
-        assert err == ("error: malformed record on line 2: unknown key 'modle', "
+        assert err == (f"error: {cfg}: line 2: unknown key 'modle', "
                        "expected one of endpoint, model\n")
 
     def test_config_duplicate_key_exit_2(self, tmp_path, capsys):
@@ -403,7 +403,7 @@ class TestEval:
             "--rounds", "1", "--preds", "1", "--config", str(cfg))
         assert code == cli.EXIT_INPUT
         assert out == ""
-        assert err == "error: malformed record on line 3: key 'model' given twice\n"
+        assert err == f"error: {cfg}: line 3: key 'model' given twice\n"
 
     @pytest.mark.parametrize("argv, message", [
         (["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1"],
@@ -467,8 +467,8 @@ def test_long_field_is_cut_in_its_message(case, tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run_cli(capsys, *[a.format(path) for a in argv])
     assert (code, out) == (cli.EXIT_INPUT, "")
-    assert err == f"error: malformed record on {message}\n"
-    assert len(err.encode("utf-8")) < 200
+    assert err == f"error: {path}: {message}\n"
+    assert len(err.encode("utf-8")) - len(str(path).encode("utf-8")) < 200
 
 
 class TestLoneSurrogate:
@@ -493,7 +493,7 @@ class TestLoneSurrogate:
             a.replace("{c}", str(corpus)).replace("{e}", str(tmp_path / "e.jsonl"))
             for a in argv))
         assert (code, out, sent) == (cli.EXIT_INPUT, "", [])
-        assert err == (f"error: malformed record on line 1: {field} is not UTF-8: "
+        assert err == (f"error: {corpus}: line 1: {field} is not UTF-8: "
                        "surrogates not allowed\n")
 
 
@@ -905,4 +905,4 @@ def test_invalid_utf8_names_its_line(command, newline, prefix, tmp_path, capsys)
     path.write_bytes(prefix + newline.join(lines) + newline)
     code, out, err = run_cli(capsys, *[a.format(path) for a in argv])
     assert (code, out) == (cli.EXIT_INPUT, "")
-    assert err == "error: malformed record on line 3: not UTF-8: invalid start byte\n"
+    assert err == f"error: {path}: line 3: not UTF-8: invalid start byte\n"

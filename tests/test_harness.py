@@ -157,6 +157,11 @@ class TestMockEchoTable:
             "same text(Lo)"
 
 
+@pytest.fixture(scope="module")
+def replay_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("replay") / "r.jsonl"
+
+
 class TestReplayRecognition:
     def _fixture_path(self, tmp_path, segments, responses):
         """Record one response per (round, pred, segment) request digest;
@@ -272,25 +277,27 @@ class TestReplayRecognition:
     @example("response_text", {"A": 1})
     @example("request_digest", "\ud800")
     @example("response_text", "x(A)\udfff")
-    def test_each_field_of_each_json_type(self, field, value):
+    def test_each_field_of_each_json_type(self, replay_path, field, value):
         # A field set to a value of any JSON type, or deleted, loads in the
         # documented form (a UTF-8 string digest; a UTF-8 string or null text;
-        # a later line wins) or gives an error that names the field.
+        # a later line wins) or gives an error that names the file, the line
+        # and the field.
         record = {"request_digest": "d1", "response_text": "A"}
         if value is _MISSING:
             del record[field]
         else:
             record[field] = value
-        lines = ['{"request_digest": "d0", "response_text": "A"}', json.dumps(record)]
+        replay_path.write_text('{"request_digest": "d0", "response_text": "A"}\n'
+                               + json.dumps(record) + "\n", encoding="utf-8")
         if (field, value) == ("response_text", None) or (
                 type(value) is str and _utf8(value)):
-            assert annotation.load_replay(lines) == {
+            assert ReplayBackend(str(replay_path))._responses == {
                 "d0": "A", record["request_digest"]: record["response_text"]}
             return
         with pytest.raises(MalformedRecord) as exc_info:
-            annotation.load_replay(lines)
+            ReplayBackend(str(replay_path))
         reason = exc_info.value.reason
-        assert exc_info.value.line_no == 2
+        assert str(exc_info.value) == f"{replay_path}: line 2: {reason}"
         assert re.search(rf"\b{field}\b", reason), reason
         assert "Error(" not in reason and "object is not" not in reason
 
@@ -594,6 +601,30 @@ def oracle_report(segs, rounds, preds, replies):
                 [sym for part in block for sym in part.per_instance],
                 sum(part.extras for part in block))))
     return loop_aggregate(scores)
+
+
+def per_reply_tally_report(segs, rounds, preds, replies):
+    """Oracle: each reply tallied on its own against its own segment's gold,
+    the tallies of each (round, prediction) summed, as runs scored before
+    one tally took each block."""
+    golds = [metrics.gold_splits(metrics.gold_instances(sequence_of(seg)))
+             for seg in segs]
+    tallies = [metrics.tally(gold, annotation.reply_codes(text))
+               for text, gold in zip(replies, golds * (rounds * preds))]
+    blocks = [tallies[k:k + len(segs)] for k in range(0, len(tallies), len(segs))]
+    scores = [metrics.split_scores([sum(column) for column in zip(*block)])
+              for block in blocks]
+    return metrics.aggregate([scores[r * preds:(r + 1) * preds] for r in range(rounds)])
+
+
+@given(recognition_runs())
+def test_block_tally_equals_per_reply_tally_sum(run):
+    segs, rounds, preds, replies = run
+    with mock.patch.object(harness, "make_backend",
+                           lambda cfg, segments: _Scripted(replies)):
+        result = run_recognition(BackendConfig(kind="mock"), segs,
+                                 rounds=rounds, preds_per_round=preds)
+    assert result.report == per_reply_tally_report(segs, rounds, preds, replies)
 
 
 @given(recognition_runs())

@@ -382,6 +382,45 @@ class TestSampleWindows:
         # A window ending mid-novel leaves out a marker at its end.
         assert windows["n[1:3]"].annotations == []
 
+    def test_last_group_takes_the_remainder(self):
+        # 7 novels in 3 groups: two groups of 2, then the last 3 of the
+        # shuffled ids; each window comes from its own group.
+        corpus = self._corpus(7)
+        for seed in range(20):
+            ids = sorted(corpus)
+            random.Random(seed).shuffle(ids)
+            windows = sample_windows(corpus, seed=seed, groups=3,
+                                     novels_per_group=2, chars=50)
+            picked = [w.id.partition("[")[0] for w in windows]
+            assert set(picked[0:2]) <= set(ids[0:2])
+            assert set(picked[2:4]) <= set(ids[2:4])
+            assert set(picked[4:6]) <= set(ids[4:7])
+            assert len(set(picked)) == 6
+
+    def test_novel_of_exactly_chars_draws_no_offset(self, monkeypatch):
+        offsets = []
+
+        class Recording(random.Random):
+            def randrange(self, *args):
+                offsets.append(args)
+                return super().randrange(*args)
+
+        monkeypatch.setattr(random, "Random", Recording)
+        novel = AnnotatedSegment("n", "Fantasy", "甲乙丙丁", [Annotation(4, "A")])
+        [window] = sample_windows({"n": novel}, seed=0, groups=1,
+                                  novels_per_group=1, chars=4)
+        assert (window.id, window.clean_text, offsets) == ("n[0:4]", "甲乙丙丁", [])
+        assert window.annotations == [Annotation(4, "A")]
+
+    def test_windows_are_full_length_at_every_start(self):
+        # A novel one character longer than the window: both starts occur,
+        # and each window is exactly chars long.
+        novel = AnnotatedSegment("n", "Fantasy", "甲乙丙丁戊", [])
+        windows = {w.id: w.clean_text for seed in range(20)
+                   for w in sample_windows({"n": novel}, seed=seed, groups=1,
+                                           novels_per_group=1, chars=4)}
+        assert windows == {"n[0:4]": "甲乙丙丁", "n[1:5]": "乙丙丁戊"}
+
     @pytest.mark.parametrize("kwargs", [
         {"groups": 0}, {"novels_per_group": 0}, {"chars": 0}])
     def test_nonpositive_sizes_rejected(self, kwargs):

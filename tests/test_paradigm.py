@@ -95,6 +95,8 @@ class TestParsePattern:
         ("(A)->(Qx)", "pattern syntax error at 5: unknown function symbol 'Qx'"),
         ("(A)->{O/Qx}", "pattern syntax error at 5: unknown function symbol 'Qx'"),
         ("(Qx)~>(A)", "pattern syntax error at 0: unknown function symbol 'Qx'"),
+        # The unexpected input is quoted by its first 8 characters.
+        ("(A)->#########", "pattern syntax error at 5: unexpected input '########'"),
     ])
     def test_syntax_error_message(self, text, message):
         with pytest.raises(PatternSyntaxError) as exc_info:
@@ -398,6 +400,29 @@ class TestMine:
     def test_empty_corpus(self):
         with pytest.raises(ValueError, match=exactly("mining over an empty corpus")):
             mine([], Fraction(1, 2), 1)
+
+    @pytest.mark.parametrize("firsts, start, support", [
+        ("AAABC", "A", Fraction(3, 5)),  # one symbol exactly at the threshold
+        ("AABBC", AltSet(("A", "B")), Fraction(4, 5)),  # one count short of it
+    ], ids=["at-the-boundary", "one-below"])
+    def test_anchor_at_the_min_support_boundary(self, firsts, start, support):
+        mined = mine([(first, "S") for first in firsts], Fraction(3, 5), 2)
+        assert mined.pattern == ParadigmPattern((start, "S"), (NONLINEAR,))
+        assert mined.support == support
+
+    def test_defaults_are_three_fifths_and_two_alternatives(self):
+        # Three distinct first symbols cover 3/5 only as a set of three.
+        seqs = [(first, "S") for first in "ABCDE"]
+        assert mine(seqs, max_alt=3).min_support == Fraction(3, 5)
+        with pytest.raises(MiningFailed, match=exactly(
+                "no anchor reaches support 3/5 within 2 alternatives")):
+            mine(seqs)
+
+    def test_min_support_is_applied_at_one_millionth(self):
+        # The nearest fraction with a denominator up to 10**6; 11**6 and 10**7
+        # would give 1166666/1666665 and 7000003/10000000.
+        mined = mine([("A", "S")] * 3, 0.7000003, 1)
+        assert mined.min_support == Fraction(466665, 666664)
 
     # 1e-9 is in (0, 1] but rounds to 0 at the 10**-6 resolution.
     @pytest.mark.parametrize("min_support", [
